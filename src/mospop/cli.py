@@ -16,6 +16,7 @@ default convergence tolerance of `simulate` (flag --tol still wins).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -39,28 +40,37 @@ from .oracles import (
     sample_region,
 )
 from .params import (
+    PRIMARY_REGIONS,
+    RATES,
     Params,
+    admissible,
     basic_offspring_number,
     birth_threshold,
     boundary_report,
     classify,
+    offspring_number_of,
     preserves_quadrant,
     primary_region,
+    primary_region_index,
     validate,
 )
 from .simplex import (
     SimplexParams,
     analyze,
     fixed_point_u,
+    fixed_point_u_of,
     u_derivative,
     u_map,
     u_orbit_limit,
 )
 from .stability import (
+    characteristic_roots,
     classify_fixed_point,
     declared_type_table,
     eigenvalues,
     jacobian,
+    jacobian_entries,
+    trace_det,
 )
 
 TOL_ENV = "MOSPOP_TOL"
@@ -148,8 +158,7 @@ def cmd_classify(args) -> int:
         "in_psi_star": label.in_psi_star,
     }
     payload = {
-        "params": {k: _jnum(v) for k, v in zip(
-            ("alpha", "beta", "mu", "d0", "d1"), p.astuple())},
+        "params": {k: _jnum(v) for k, v in zip(RATES, p.astuple())},
         "primary_region": primary_region(p),
         "flags": flags,
         "simplex_class": label.simplex_class.value,
@@ -594,32 +603,47 @@ def _parse_axis(spec: str):
         lo, hi, step_ = float(lo), float(hi), float(step_)
     except ValueError:
         _usage_error(f"bad axis spec {spec!r}, expected name:lo:hi:step")
-    if name not in ("alpha", "beta", "mu", "d0", "d1"):
+    if name not in RATES:
         _usage_error(f"unknown axis parameter {name!r}")
+    if not all(math.isfinite(v) for v in (lo, hi, step_)):
+        _usage_error(f"axis bounds and step must be finite in {spec!r}")
     if step_ <= 0 or hi < lo:
         _usage_error(f"empty axis range in {spec!r}")
-    count = int(math.floor((hi - lo) / step_ + 1e-9)) + 1
+    span = (hi - lo) / step_ + 1e-9
+    if not math.isfinite(span):
+        _usage_error(f"too many axis points in {spec!r}")
+    count = int(math.floor(span)) + 1
     return name, [lo + k * step_ for k in range(count)]
 
 
-def _sweep_value(quantity: str, values: dict) -> str:
+# what find_fixed_points returns on each of PRIMARY_REGIONS, as a count
+_COUNT_BY_REGION = ("1", "2", "2", "inf")
+
+
+def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list[str]:
+    """Rendered cells in row-major order.
+
+    grid maps each rate to a float or to an array broadcasting to shape.
+    Region, count and r0 are evaluated once over the whole grid; the
+    spectral radius and x* go through the scalar root kernels per cell.
+    """
+    def flat(v) -> list:
+        return np.broadcast_to(v, shape).ravel().tolist()
+
     if quantity == "x_star":
-        sp = SimplexParams(values["alpha"], values["beta"])
-        return fmt(fixed_point_u(sp))
-    p = validate(values["alpha"], values["beta"], values["mu"],
-                 values["d0"], values["d1"])
-    if quantity == "region":
-        return primary_region(p)
+        return [fmt(fixed_point_u_of(a, b))
+                for a, b in zip(flat(grid["alpha"]), flat(grid["beta"]))]
+    alpha, beta, mu, d0, d1 = (grid[name] for name in RATES)
+    if quantity in ("region", "fixed_point_count"):
+        names = PRIMARY_REGIONS if quantity == "region" else _COUNT_BY_REGION
+        index = primary_region_index(alpha, beta, mu, d0, d1)
+        return flat(np.array(names, dtype=object)[index])
     if quantity == "r0":
-        return fmt(basic_offspring_number(p))
-    if quantity == "fixed_point_count":
-        fps = find_fixed_points(p)
-        if fps.kind is FixedPointKind.CONTINUUM:
-            return "inf"
-        return str(len(fps.points))
+        return [fmt(v) for v in flat(offspring_number_of(alpha, beta, mu, d0))]
     if quantity == "spectral_radius_at_origin":
-        lam1, _ = eigenvalues(jacobian(p, (0.0, 0.0)))
-        return fmt(abs(lam1))
+        tr, det = trace_det(*jacobian_entries(alpha, beta, mu, d0, d1, 0.0))
+        return [fmt(abs(characteristic_roots(t, d)[0]))
+                for t, d in zip(flat(tr), flat(det))]
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
@@ -631,8 +655,8 @@ def cmd_sweep(args) -> int:
 
     fixed = {"alpha": args.alpha, "beta": args.beta, "mu": args.mu,
              "d0": args.d0, "d1": args.d1}
-    needed = ("alpha", "beta") if args.quantity == "x_star" else (
-        "alpha", "beta", "mu", "d0", "d1")
+    x_star = args.quantity == "x_star"
+    needed = ("alpha", "beta") if x_star else RATES
     for name in needed:
         if name in (name1, name2):
             continue
@@ -642,16 +666,32 @@ def cmd_sweep(args) -> int:
                 f"{args.quantity!r}"
             )
 
+    shape = (len(vals1), len(vals2))
+    grid = dict(fixed)
+    grid[name1] = np.array(vals1)[:, None]
+    grid[name2] = np.array(vals2)
+    # x* takes SimplexParams(alpha, beta), which embeds as the rates
+    # (alpha, beta, beta, 0, 0).  The first cell outside the domain goes
+    # through the scalar constructor, which raises the error reported.
+    rates = ((grid["alpha"], grid["beta"], grid["beta"], 0.0, 0.0) if x_star
+             else tuple(grid[name] for name in RATES))
+    ok = np.broadcast_to(admissible(*rates), shape)
+    if not ok.all():
+        i, j = divmod(int(np.argmin(ok)), shape[1])
+        bad = dict(fixed, **{name1: vals1[i], name2: vals2[j]})
+        if x_star:
+            SimplexParams(bad["alpha"], bad["beta"])
+        else:
+            validate(*(bad[name] for name in RATES))
+    with np.errstate(all="ignore"):
+        cells = _sweep_cells(args.quantity, grid, shape)
+
+    heads = [fmt(v) + "," for v in vals1]
+    cols = [fmt(v) + "," for v in vals2]
     lines = [f"{name1},{name2},{args.quantity}"]
-    rows = []
-    for v1 in vals1:
-        for v2 in vals2:
-            values = dict(fixed)
-            values[name1] = v1
-            values[name2] = v2
-            cell = _sweep_value(args.quantity, values)
-            lines.append(f"{fmt(v1)},{fmt(v2)},{cell}")
-            rows.append([_jnum(v1), _jnum(v2), cell])
+    for i, head in enumerate(heads):
+        row = cells[i * shape[1]:(i + 1) * shape[1]]
+        lines.append("\n".join([head + col + cell for col, cell in zip(cols, row)]))
     text = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
@@ -659,12 +699,15 @@ def cmd_sweep(args) -> int:
         with open(args.output, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
         if args.json:
+            grid_points = itertools.product([_jnum(v) for v in vals1],
+                                            [_jnum(v) for v in vals2])
+            rows = [[v1, v2, cell] for (v1, v2), cell in zip(grid_points, cells)]
             print(json.dumps(
                 {"axis1": name1, "axis2": name2, "quantity": args.quantity,
-                 "cells": len(rows), "output": args.output, "rows": rows},
+                 "cells": len(cells), "output": args.output, "rows": rows},
                 indent=2, sort_keys=True))
         else:
-            print(f"wrote {len(rows)} cells: {args.output}")
+            print(f"wrote {len(cells)} cells: {args.output}")
     return 0
 
 

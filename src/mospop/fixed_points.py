@@ -57,7 +57,8 @@ def discriminant(p: Params) -> float:
 
     (d0 - d1)**2 + 4*alpha*d1*(beta - mu)/mu.
     """
-    return (p.d0 - p.d1) ** 2 + 4.0 * p.alpha * p.d1 * (p.beta - p.mu) / p.mu
+    diff = p.d0 - p.d1
+    return diff * diff + 4.0 * p.alpha * p.d1 * (p.beta - p.mu) / p.mu
 
 
 class FixedPointKind(Enum):

@@ -26,19 +26,27 @@ from enum import Enum
 
 __all__ = [
     "DomainError",
+    "PRIMARY_REGIONS",
     "Params",
+    "RATES",
     "RegionLabel",
     "SimplexClass",
+    "admissible",
     "basic_offspring_number",
     "birth_threshold",
     "boundary_report",
     "classify",
     "in_invariance_region",
+    "offspring_number_of",
     "preserves_quadrant",
     "primary_region",
+    "primary_region_index",
     "shape_class",
     "validate",
 ]
+
+
+RATES = ("alpha", "beta", "mu", "d0", "d1")
 
 
 class DomainError(ValueError):
@@ -65,7 +73,7 @@ class Params:
 
     def __post_init__(self):
         violations = []
-        for name in ("alpha", "beta", "mu", "d0", "d1"):
+        for name in RATES:
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 violations.append(f"{name} must be a finite real, got {v!r}")
@@ -92,13 +100,53 @@ def validate(alpha: float, beta: float, mu: float, d0: float, d1: float) -> Para
     return Params(float(alpha), float(beta), float(mu), float(d0), float(d1))
 
 
+# The functions taking plain rates below use only arithmetic, comparisons,
+# & and |, so they give the same answer on floats and, elementwise, on
+# numpy arrays of rates; a grid sweep evaluates them once over the grid.
+
+
+def admissible(alpha, beta, mu, d0, d1):
+    """True exactly where validate accepts the float rates: all finite,
+    alpha, beta, mu > 0 and d0, d1 >= 0 (NaN fails every comparison)."""
+    inf = math.inf
+    return ((alpha > 0.0) & (alpha < inf) & (beta > 0.0) & (beta < inf)
+            & (mu > 0.0) & (mu < inf) & (d0 >= 0.0) & (d0 < inf)
+            & (d1 >= 0.0) & (d1 < inf))
+
+
+def _threshold(alpha, mu, d0):
+    """mu*(1 + d0/alpha) on plain rates; see birth_threshold."""
+    return mu * (1.0 + d0 / alpha)
+
+
+def offspring_number_of(alpha, beta, mu, d0):
+    """alpha*beta / ((alpha + d0)*mu) on plain rates; see basic_offspring_number."""
+    return alpha * beta / ((alpha + d0) * mu)
+
+
+PRIMARY_REGIONS = ("omega_star", "phi1", "phi2", "psi")
+
+
+def primary_region_index(alpha, beta, mu, d0, d1):
+    """Index into PRIMARY_REGIONS of the primary set holding the rates.
+
+    The sets (defined on RegionLabel) are disjoint, so at most one of the
+    three membership terms is 1 and the sum picks it; 0 is omega_star.
+    """
+    above = beta > _threshold(alpha, mu, d0)
+    in_phi1 = (d0 != 0.0) & (d1 == 0.0) & above
+    in_phi2 = (d1 != 0.0) & above
+    in_psi = (d0 == 0.0) & (d1 == 0.0) & (beta == mu)
+    return in_phi1 + 2 * in_phi2 + 3 * in_psi
+
+
 def birth_threshold(p: Params) -> float:
     """Critical oviposition rate mu*(1 + d0/alpha).
 
     Above this value the reproduction number exceeds one and a positive
     equilibrium can exist; below it the extinct state is the only candidate.
     """
-    return p.mu * (1.0 + p.d0 / p.alpha)
+    return _threshold(p.alpha, p.mu, p.d0)
 
 
 def basic_offspring_number(p: Params) -> float:
@@ -107,7 +155,7 @@ def basic_offspring_number(p: Params) -> float:
     r0 = alpha*beta / ((alpha + d0)*mu).  r0 > 1 is equivalent to
     beta > mu*(1 + d0/alpha); the equivalence is exercised in tests.
     """
-    return p.alpha * p.beta / ((p.alpha + p.d0) * p.mu)
+    return offspring_number_of(p.alpha, p.beta, p.mu, p.d0)
 
 
 class SimplexClass(Enum):
@@ -224,10 +272,11 @@ def classify(p: Params) -> RegionLabel:
     above = p.beta > thr
     below = p.beta < thr
 
-    in_phi1 = p.d0 != 0.0 and p.d1 == 0.0 and above
-    in_phi2 = p.d1 != 0.0 and above
-    in_psi = p.d0 == 0.0 and p.d1 == 0.0 and p.beta == p.mu
-    in_omega_star = not (in_phi1 or in_phi2 or in_psi)
+    region = primary_region_index(*p.astuple())
+    in_omega_star = region == 0
+    in_phi1 = region == 1
+    in_phi2 = region == 2
+    in_psi = region == 3
 
     in_theta = preserves_quadrant(p)
     small_trace = p.mu + p.d0 + p.alpha <= 2.0
@@ -251,14 +300,7 @@ def classify(p: Params) -> RegionLabel:
 
 def primary_region(p: Params) -> str:
     """Name of the unique primary set containing p."""
-    label = classify(p)
-    if label.in_phi1:
-        return "phi1"
-    if label.in_phi2:
-        return "phi2"
-    if label.in_psi:
-        return "psi"
-    return "omega_star"
+    return PRIMARY_REGIONS[primary_region_index(*p.astuple())]
 
 
 def boundary_report(p: Params, eps: float) -> list[str]:

@@ -60,6 +60,7 @@ __all__ = [
     "UStability",
     "analyze",
     "fixed_point_u",
+    "fixed_point_u_of",
     "period2_set",
     "simplex_invariant",
     "u_derivative",
@@ -152,12 +153,17 @@ def simplex_invariant(sp: SimplexParams) -> InvarianceCheck:
 
 
 def fixed_point_u(sp: SimplexParams) -> float:
-    """The unique fixed point of U in [0, 1].
+    """The unique fixed point of U in [0, 1]; see fixed_point_u_of."""
+    return fixed_point_u_of(sp.alpha, sp.beta)
+
+
+def fixed_point_u_of(alpha: float, beta: float) -> float:
+    """x* for plain float rates alpha, beta > 0.
 
     Evaluated as 2*beta/(sqrt(alpha**2 + 4*beta**2) + alpha), which is the
     cancellation-free form of (sqrt(alpha**2 + 4*beta**2) - alpha)/(2*beta).
     """
-    return 2.0 * sp.beta / (math.hypot(sp.alpha, 2.0 * sp.beta) + sp.alpha)
+    return 2.0 * beta / (math.hypot(alpha, 2.0 * beta) + alpha)
 
 
 class UPointType(Enum):

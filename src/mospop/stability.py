@@ -51,6 +51,7 @@ __all__ = [
     "OutsideDeclaredRegion",
     "StabilityReport",
     "UNIT_CIRCLE_TOL",
+    "characteristic_roots",
     "classify_fixed_point",
     "coarse_type",
     "declared_type_table",
@@ -58,7 +59,9 @@ __all__ = [
     "f_value",
     "g_value",
     "jacobian",
+    "jacobian_entries",
     "modulus_type",
+    "trace_det",
 ]
 
 UNIT_CIRCLE_TOL = 1e-9
@@ -79,56 +82,76 @@ class FixedPointType(Enum):
     NON_HYPERBOLIC = "non_hyperbolic"
 
 
+def jacobian_entries(alpha, beta, mu, d0, d1, x):
+    """Entries (j00, j01, j10, j11) of the Jacobian at larval density x.
+
+    Plain arithmetic on the rates, so it also works elementwise on numpy
+    arrays.  Squares are products: a float ** overflows with an exception
+    where * gives inf.
+    """
+    emergence_slope = alpha / ((1.0 + x) * (1.0 + x))
+    return (1.0 - d0 - 2.0 * d1 * x - emergence_slope, beta,
+            emergence_slope, 1.0 - mu)
+
+
 def jacobian(p: Params, z: Sequence[float]) -> np.ndarray:
     """Jacobian matrix of the map at z = (x, y).  Requires x > -1."""
     x = float(z[0])
     if x <= -1.0:
         raise ValueError(f"Jacobian undefined for x <= -1, got x={x}")
-    emergence_slope = p.alpha / (1.0 + x) ** 2
-    return np.array(
-        [
-            [1.0 - p.d0 - 2.0 * p.d1 * x - emergence_slope, p.beta],
-            [emergence_slope, 1.0 - p.mu],
-        ]
-    )
+    j00, j01, j10, j11 = jacobian_entries(p.alpha, p.beta, p.mu, p.d0, p.d1, x)
+    return np.array([[j00, j01], [j10, j11]])
 
 
-def eigenvalues(m: np.ndarray) -> tuple[complex, complex]:
-    """Eigenvalues of a 2x2 matrix, ordered by descending modulus.
+def trace_det(j00, j01, j10, j11):
+    """Trace and determinant of the 2x2 matrix [[j00, j01], [j10, j11]]."""
+    return j00 + j11, j00 * j11 - j01 * j10
 
-    Solves the characteristic polynomial directly with a cancellation-safe
-    quadratic formula; ties in modulus break by descending real part, then
-    descending imaginary part.
+
+def characteristic_roots(tr: float, det: float) -> tuple[complex, complex]:
+    """Roots of lam**2 - tr*lam + det, ordered by descending modulus.
+
+    Cancellation-safe quadratic formula; ties in modulus break by
+    descending real part, then descending imaginary part.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     disc = tr * tr - 4.0 * det
     if disc >= 0.0:
         s = math.sqrt(disc)
         q = 0.5 * (tr + s) if tr >= 0.0 else 0.5 * (tr - s)
         if q == 0.0:
-            roots = [complex(0.0), complex(0.0)]
-        else:
-            roots = [complex(q), complex(det / q)]
+            return (complex(0.0), complex(0.0))
+        first, second = complex(q), complex(det / q)
     else:
         s = 0.5 * math.sqrt(-disc)
-        roots = [complex(0.5 * tr, s), complex(0.5 * tr, -s)]
-    roots.sort(key=lambda lam: (-abs(lam), -lam.real, -lam.imag))
-    return (roots[0], roots[1])
+        first, second = complex(0.5 * tr, s), complex(0.5 * tr, -s)
+    if ((-abs(second), -second.real, -second.imag)
+            < (-abs(first), -first.real, -first.imag)):
+        return (second, first)
+    return (first, second)
+
+
+def eigenvalues(m: np.ndarray) -> tuple[complex, complex]:
+    """Eigenvalues of a 2x2 matrix, ordered by descending modulus.
+
+    Solves the characteristic polynomial directly; see characteristic_roots.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    (j00, j01), (j10, j11) = m.tolist()
+    return characteristic_roots(*trace_det(j00, j01, j10, j11))
 
 
 def g_value(p: Params, x: float) -> float:
     """g(x) = mu + d0 + alpha/(1+x)**2, the negated trace shift."""
-    return p.mu + p.d0 + p.alpha / (1.0 + x) ** 2
+    return p.mu + p.d0 + p.alpha / ((1.0 + x) * (1.0 + x))
 
 
 def f_value(p: Params, x: float) -> float:
     """f(x), the discriminant of the characteristic polynomial for d1 = 0."""
-    a = p.alpha / (1.0 + x) ** 2
-    return (p.mu - p.d0 - a) ** 2 + 4.0 * p.beta * a
+    a = p.alpha / ((1.0 + x) * (1.0 + x))
+    t = p.mu - p.d0 - a
+    return t * t + 4.0 * p.beta * a
 
 
 def modulus_type(

@@ -8,7 +8,18 @@ import sys
 
 import pytest
 
-from mospop.cli import main
+from mospop import (
+    FixedPointKind,
+    SimplexParams,
+    basic_offspring_number,
+    eigenvalues,
+    find_fixed_points,
+    fixed_point_u,
+    jacobian,
+    primary_region,
+    validate,
+)
+from mospop.cli import fmt, main
 
 EX3 = ["--alpha", "6", "--beta", "0.5", "--mu", "0.4", "--d0", "0.6"]
 
@@ -307,10 +318,95 @@ class TestSweep:
         assert code == 2
 
     def test_malformed_axis_exit_2(self, capsys):
-        code, *_ = run(capsys, ["sweep", "--axis1", "alpha:2:1", "--axis2",
-                                "beta:0.5:1:0.5", "--quantity", "x_star",
-                                "--output", "-"])
-        assert code == 2
+        # too few fields, an infinite bound, a NaN bound, an infinite step
+        for spec in ("alpha:2:1", "alpha:0.5:inf:1", "alpha:nan:1:0.5",
+                     "alpha:0.5:1:inf"):
+            code, out, err = run(capsys, ["sweep", "--axis1", spec, "--axis2",
+                                          "beta:0.5:1:0.5", "--quantity",
+                                          "x_star", "--output", "-"])
+            assert code == 2, spec
+            assert out == "" and err.startswith("error: "), spec
+
+    # (axis1, axis2, fixed rates); each grid is swept for every quantity
+    AGREEMENT_GRIDS = [
+        # beta x mu on shared values: the diagonal is the psi line beta = mu
+        ("beta:0.25:2:0.25", "mu:0.25:2:0.25", {"alpha": 1.5}),
+        # alpha = d0 = 1, mu = 0.5, beta = 1 sits exactly on the threshold
+        ("alpha:0.5:1.5:0.5", "beta:0.5:1.5:0.25", {"mu": 0.5, "d0": 1.0}),
+        # d1 = 0 next to d1 > 0, with d0 = 0 and d0 > 0
+        ("d1:0:0.5:0.25", "beta:0.5:2:0.5", {"alpha": 2.0, "mu": 0.5, "d0": 0.5}),
+        ("d0:0:0.5:0.25", "d1:0:0.5:0.25", {"alpha": 2.0, "beta": 0.5, "mu": 0.5}),
+        # rates over many orders of magnitude
+        ("alpha:1e-06:1000000:125000", "beta:1e-05:1000:62.5",
+         {"mu": 1e-3, "d0": 1e4, "d1": 3e-7}),
+        ("mu:1e-09:4e-09:1e-09", "d0:0:3e+06:1e+06",
+         {"alpha": 2e-9, "beta": 5e-9, "d1": 0.0}),
+    ]
+
+    @staticmethod
+    def _scalar_cell(quantity, rates):
+        if quantity == "x_star":
+            return fmt(fixed_point_u(SimplexParams(rates["alpha"], rates["beta"])))
+        p = validate(*(rates[n] for n in ("alpha", "beta", "mu", "d0", "d1")))
+        if quantity == "region":
+            return primary_region(p)
+        if quantity == "r0":
+            return fmt(basic_offspring_number(p))
+        if quantity == "fixed_point_count":
+            fps = find_fixed_points(p)
+            if fps.kind is FixedPointKind.CONTINUUM:
+                return "inf"
+            return str(len(fps.points))
+        return fmt(abs(eigenvalues(jacobian(p, (0.0, 0.0)))[0]))
+
+    @pytest.mark.parametrize("quantity", ["region", "r0", "fixed_point_count",
+                                          "spectral_radius_at_origin", "x_star"])
+    def test_cells_agree_with_scalar_api(self, capsys, quantity):
+        seen = set()
+        for axis1, axis2, fixed in self.AGREEMENT_GRIDS:
+            argv = ["sweep", "--axis1", axis1, "--axis2", axis2,
+                    "--quantity", quantity, "--output", "-"]
+            for name, v in fixed.items():
+                argv += [f"--{name}", repr(v)]
+            code, out, err = run(capsys, argv)
+            assert code == 0, err
+            lines = out.split("\n")
+            assert lines[-1] == ""
+            name1, lo1, _, step1 = axis1.split(":")
+            name2, lo2, _, step2 = axis2.split(":")
+            assert lines[0] == f"{name1},{name2},{quantity}"
+            cells = [ln.split(",") for ln in lines[1:-1]]
+            n2 = sum(1 for c in cells if c[0] == cells[0][0])
+            assert len(cells) % n2 == 0
+            for k, (c1, c2, got) in enumerate(cells):
+                i, j = divmod(k, n2)
+                rates = {"alpha": None, "beta": None, "mu": None,
+                         "d0": 0.0, "d1": 0.0, **fixed}
+                rates[name1] = float(lo1) + i * float(step1)
+                rates[name2] = float(lo2) + j * float(step2)
+                assert (c1, c2) == (fmt(rates[name1]), fmt(rates[name2]))
+                assert got == self._scalar_cell(quantity, rates), (rates, got)
+                seen.add(got)
+        if quantity == "region":
+            assert seen == {"omega_star", "phi1", "phi2", "psi"}
+        if quantity == "fixed_point_count":
+            assert seen == {"1", "2", "inf"}
+
+    @pytest.mark.parametrize("quantity", ["region", "x_star"])
+    def test_first_inadmissible_cell_exit_2(self, capsys, quantity):
+        code, out, err = run(capsys, ["sweep", "--axis1", "alpha:0:1:0.5",
+                                      "--axis2", "beta:-1:1:0.5",
+                                      "--quantity", quantity, "--mu", "1",
+                                      "--output", "-"])
+        assert code == 2 and out == ""
+        # row-major order: the first cell is alpha = 0, beta = -1
+        if quantity == "x_star":
+            with pytest.raises(ValueError) as exc:
+                SimplexParams(0.0, -1.0)
+        else:
+            with pytest.raises(ValueError) as exc:
+                validate(0.0, -1.0, 1.0, 0.0, 0.0)
+        assert err == f"error: {exc.value}\n"
 
     def test_unknown_quantity_exit_2(self, capsys):
         code, *_ = run(capsys, ["sweep", "--axis1", "alpha:1:2:1",
@@ -372,6 +468,16 @@ class TestProcessLevel:
             capture_output=True, env=env,
         )
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fixed-points", "--alpha", "1", "--beta", "2", "--mu", "1", "--d1", "1e200"],
+        ["stability", "--alpha", "1e10", "--beta", "2", "--mu", "1", "--d0", "1e-160"],
+    ])
+    def test_overflowing_rates_no_traceback(self, argv):
+        out = subprocess.run([sys.executable, "-m", "mospop", *argv],
+                             capture_output=True, text=True)
+        assert out.returncode in (0, 2)
+        assert "Traceback" not in out.stderr
 
     def test_no_subcommand_exit_2(self):
         out = subprocess.run([sys.executable, "-m", "mospop"], capture_output=True)

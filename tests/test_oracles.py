@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mospop.oracles import (
@@ -63,6 +63,24 @@ class TestQuadRoots:
         small = min(roots, key=abs)
         assert small == pytest.approx(-1e-8, rel=1e-10)
 
+    def test_underflowing_discriminant_stays_complex(self):
+        # b*b underflows to 0 unscaled, which made this pair look real
+        a = b = 1.4528609534169231e-291
+        roots = quad_roots(a, b, 3.6627151621937603e-62)
+        assert roots[0].real == pytest.approx(-0.5, rel=1e-15)
+        assert roots[0].imag == pytest.approx(5.020992205047411e114, rel=1e-15)
+        assert roots[1] == roots[0].conjugate()
+
+    def test_root_beyond_double_range_left_out(self):
+        # -4/a = -2**1024 is not a double; the root 0 stays
+        assert quad_roots(2.2250738585072014e-308, 4.0, 0.0) == (0j,)
+        assert quad_roots(0.0, 8.97e-308, 17.0) == ()
+        (r,) = quad_roots(2.2250738585072014e-308, 1e6, 1e300)
+        assert r == pytest.approx(-1e294, rel=1e-15)
+        assert quad_roots(1e200, 3e200, 1e200) == pytest.approx(
+            ((math.sqrt(5) - 3) / 2, -(math.sqrt(5) + 3) / 2), rel=1e-15
+        )
+
     def test_bulk_residuals(self):
         rng = np.random.default_rng(20260821)
         n = 100_000
@@ -81,6 +99,11 @@ class TestQuadRoots:
     coef = st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False)
 
     @given(coef, coef, coef)
+    @example(2.2250738585072014e-308, 4.0, 0.0)
+    @example(1.4528609534169231e-291, 1.4528609534169231e-291, 3.6627151621937603e-62)
+    @example(7.956928890032421e-213, 0.0, 0.0)
+    @example(0.0, 8.97e-308, 17.0)
+    @example(1.17e-307, 22.0, 0.0)
     @settings(max_examples=500, deadline=None)
     def test_residual_property(self, a, b, c):
         if a == b == c == 0.0:
