@@ -34,7 +34,6 @@ from .fixed_points import (
 )
 from .oracles import (
     DegenerateAllZero,
-    OracleConfig,
     fd_derivative,
     fd_jacobian,
     grid_period_scan,
@@ -101,7 +100,6 @@ __all__ = [
     "FixedPointType",
     "FormulaTag",
     "NotAFixedPoint",
-    "OracleConfig",
     "OrbitResult",
     "OrbitVerdict",
     "OutsideDeclaredRegion",

@@ -23,8 +23,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .dynamics import orbit, step
 from .fixed_points import (
     DEFAULT_CONTINUUM_GRID,
@@ -272,6 +270,8 @@ def _stability_payload(p: Params, z, tol: float, want_verify: bool) -> dict:
         "type": report.type.value,
     }
     if want_verify:
+        import numpy as np
+
         fd = fd_jacobian(lambda x, y: step(p, (x, y)), z)
         rel = float(
             np.max(np.abs(fd - report.jacobian))
@@ -627,6 +627,8 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list[str]
     Region, count and r0 are evaluated once over the whole grid; the
     spectral radius and x* go through the scalar root kernels per cell.
     """
+    import numpy as np
+
     def flat(v) -> list:
         return np.broadcast_to(v, shape).ravel().tolist()
 
@@ -648,6 +650,8 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list[str]
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     name1, vals1 = _parse_axis(args.axis1)
     name2, vals2 = _parse_axis(args.axis2)
     if name1 == name2:
@@ -721,6 +725,8 @@ def _check(name: str, ok: bool, detail: str, results: list) -> None:
 
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     n = args.draws
     results: list[dict] = []

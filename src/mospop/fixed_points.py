@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
-import numpy as np
-
 from .dynamics import State, step
 from .params import Params, classify
 
@@ -47,7 +45,8 @@ def gamma(p: Params, x: float):
     gamma(x) = alpha*x/(mu*(1 + x)).  Increasing in x, bounded above by
     alpha/mu.  Accepts scalars or numpy arrays.
     """
-    if np.any(np.asarray(x) <= -1.0):
+    bad = x <= -1.0
+    if bad if isinstance(bad, bool) else bad.any():
         raise ValueError("gamma is defined for x > -1 only")
     return p.alpha * x / (p.mu * (1.0 + x))
 
@@ -120,13 +119,14 @@ def _report(p: Params, x: float, y: float, tag: FormulaTag) -> FixedPointReport:
 def _positive_quadratic_root(p: Params) -> float:
     """Positive root of d1*x**2 + (d0+d1)*x + c with c < 0.
 
-    Uses x2 = -2c/(b + sqrt(disc)) with b = d0 + d1 >= 0, which avoids the
-    cancellation in (sqrt(disc) - b)/(2*d1) when 4*d1*|c| << b*b.
+    Uses x2 = -2c/(b + sqrt(disc)) with b = d0 + d1 > 0, which avoids the
+    cancellation in (sqrt(disc) - b)/(2*d1) when 4*d1*|c| << b*b.  The
+    square root of disc = b*b - 4*d1*c is taken as
+    sqrt(b)*sqrt(b - 4*(d1/b)*c), so b*b never overflows (d1/b <= 1).
     """
     c = p.d0 + p.alpha * (1.0 - p.beta / p.mu)
     b = p.d0 + p.d1
-    disc = b * b - 4.0 * p.d1 * c
-    return -2.0 * c / (b + math.sqrt(disc))
+    return -2.0 * c / (b + math.sqrt(b) * math.sqrt(b - 4.0 * (p.d1 / b) * c))
 
 
 def find_fixed_points(

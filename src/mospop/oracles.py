@@ -9,14 +9,13 @@ which is what makes the cross-checks meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DegenerateAllZero",
-    "OracleConfig",
     "fd_derivative",
     "fd_jacobian",
     "grid_period_scan",
@@ -29,21 +28,6 @@ __all__ = [
 
 class DegenerateAllZero(ValueError):
     """All three quadratic coefficients vanish; every number is a root."""
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Default knobs for the oracle routines."""
-
-    fd_step: float = 1e-6
-    grid_points: int = 1000
-    seed: int = 20260821
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
-            raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
-        if self.grid_points < 2:
-            raise ValueError(f"grid_points must be at least 2, got {self.grid_points}")
 
 
 def quad_roots(a: float, b: float, c: float) -> tuple[complex, ...]:
@@ -119,6 +103,8 @@ def fd_jacobian(
     h: float = 1e-6,
 ) -> np.ndarray:
     """Centered finite-difference Jacobian of a planar map at state z."""
+    import numpy as np
+
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step h must be positive and finite, got {h}")
     x, y = float(z[0]), float(z[1])
@@ -170,6 +156,8 @@ def grid_period_scan(
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
         raise ValueError("domain must satisfy hi > lo")
+
+    import numpy as np
 
     xs = np.linspace(lo, hi, grid)
     try:

@@ -120,8 +120,12 @@ def _threshold(alpha, mu, d0):
 
 
 def offspring_number_of(alpha, beta, mu, d0):
-    """alpha*beta / ((alpha + d0)*mu) on plain rates; see basic_offspring_number."""
-    return alpha * beta / ((alpha + d0) * mu)
+    """alpha*beta / ((alpha + d0)*mu) on plain rates; see basic_offspring_number.
+
+    Evaluated as alpha/(alpha + d0) * (beta/mu): neither divisor is zero for
+    admissible rates, where the product (alpha + d0)*mu can underflow to 0.
+    """
+    return alpha / (alpha + d0) * (beta / mu)
 
 
 PRIMARY_REGIONS = ("omega_star", "phi1", "phi2", "psi")

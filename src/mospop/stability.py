@@ -36,13 +36,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .dynamics import State, step
 from .fixed_points import DEFAULT_CONTINUUM_GRID, gamma
 from .params import Params, birth_threshold, classify
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DeclaredType",
@@ -96,6 +97,8 @@ def jacobian_entries(alpha, beta, mu, d0, d1, x):
 
 def jacobian(p: Params, z: Sequence[float]) -> np.ndarray:
     """Jacobian matrix of the map at z = (x, y).  Requires x > -1."""
+    import numpy as np
+
     x = float(z[0])
     if x <= -1.0:
         raise ValueError(f"Jacobian undefined for x <= -1, got x={x}")
@@ -135,6 +138,8 @@ def eigenvalues(m: np.ndarray) -> tuple[complex, complex]:
 
     Solves the characteristic polynomial directly; see characteristic_roots.
     """
+    import numpy as np
+
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")

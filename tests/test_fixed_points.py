@@ -50,6 +50,21 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma(EX3, -1.0)
 
+    def test_accepts_numpy_arrays(self):
+        xs = np.array([0.0, 1.5, 10.0])
+        ys = gamma(EX3, xs)
+        assert isinstance(ys, np.ndarray)
+        assert ys.tolist() == [gamma(EX3, float(x)) for x in xs]
+        assert gamma(EX3, np.float64(1.5)) == gamma(EX3, 1.5)
+
+    def test_rejects_arrays_with_any_x_at_or_below_minus_one(self):
+        with pytest.raises(ValueError):
+            gamma(EX3, np.array([0.0, 2.0, -1.0]))
+        with pytest.raises(ValueError):
+            gamma(EX3, np.array([[0.5], [-3.0]]))
+        with pytest.raises(ValueError):
+            gamma(EX3, np.float64(-1.0))
+
 
 class TestFindFixedPoints:
     def test_example1_origin_only(self):
@@ -80,6 +95,16 @@ class TestFindFixedPoints:
         assert pos.location.y == pytest.approx(1.183503419072274, abs=1e-12)
         assert fps.quad_discriminant == pytest.approx(6.0, abs=1e-12)
         assert pos.discriminant == fps.quad_discriminant
+
+    def test_quadratic_death_beyond_squared_range(self):
+        # b*b = (d0 + d1)**2 overflows; the positive root is still ~1/d1
+        fps = find_fixed_points(validate(1.0, 2.0, 1.0, 0.0, 1e200))
+        assert fps.kind is FixedPointKind.TWO_POINTS
+        pos = fps.points[1]
+        assert pos.formula is FormulaTag.PHI2_CLOSED_FORM
+        assert math.isclose(pos.location.x, 1e-200, rel_tol=1e-15, abs_tol=0.0)
+        assert math.isclose(pos.location.y, 1e-200, rel_tol=1e-15, abs_tol=0.0)
+        assert pos.residual <= 1e-215
 
     def test_matched_rates_continuum(self):
         fps = find_fixed_points(PSI)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from mospop.oracles import (
     DegenerateAllZero,
-    OracleConfig,
     fd_derivative,
     fd_jacobian,
     grid_period_scan,
@@ -223,11 +222,3 @@ class TestSamplers:
         rng = np.random.default_rng(5)
         for alpha, beta in sample_outside_pairs(200, rng):
             assert in_invariance_region(alpha, beta) is SimplexClass.NONE
-
-
-def test_config_validation():
-    OracleConfig()
-    with pytest.raises(ValueError):
-        OracleConfig(fd_step=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(grid_points=1)
