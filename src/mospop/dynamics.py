@@ -14,6 +14,7 @@ flag instead of failing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
@@ -134,9 +135,15 @@ def orbit(
       diverged_x  x exceeded divergence_threshold; the current y is reported
                   as y_limit_estimate;
       periodic    the state revisited an earlier state (at most 1023 steps
-                  back) within tol, with period >= 2;
+                  back) within tol, with period >= 2.  Period 2 is checked
+                  on every step; a period >= 3 only on a full-scan step
+                  (every 997 steps), so it can be reported up to 996 steps
+                  after the cycle starts;
       undecided   max_iter exhausted, or the orbit left the domain x > -1,
                   or coordinates stopped being finite.
+
+    The fixed points are looked up only at the first step that moves less
+    than tol, so orbits that never get there never compute them.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -152,21 +159,27 @@ def orbit(
     if x <= -1.0:
         raise ValueError(f"map undefined for x <= -1, got x={x}")
 
-    points, curve = _fixed_point_targets(p)
-
     left = x < 0.0 or y < 0.0
     hist_x = [0.0] * _HISTORY
     hist_y = [0.0] * _HISTORY
     hist_x[0] = x
     hist_y[0] = y
+    mask = _HISTORY - 1
 
     samples: list[tuple[int, State]] = [(0, State(x, y))]
     next_sample = 1.0
+    next_scan = _FULL_SCAN_STRIDE
 
     verdict = OrbitVerdict.UNDECIDED
     limit: Optional[State] = None
     y_est: Optional[float] = None
     period: Optional[int] = None
+    targets = None  # fixed points, found at the first convergence candidate
+    inf = math.inf
+    # xn <= x_cap also means xn is finite when the threshold is inf
+    x_cap = min(divergence_threshold, sys.float_info.max)
+    ntol = -tol
+    px = py = math.nan  # the state two steps back; NaN matches nothing
     n = 0
 
     for n in range(1, max_iter + 1):
@@ -174,18 +187,24 @@ def orbit(
         xn = b * y - t - (d0 + d1 * x) * x + x
         yn = t - m * y + y
 
-        if not (math.isfinite(xn) and math.isfinite(yn)) or xn <= -1.0:
+        if not (0.0 <= xn <= x_cap and 0.0 <= yn < inf):
+            # rare, checked in this order: left the domain or stopped being
+            # finite (undecided), left the quadrant (flagged), diverged
+            if not (math.isfinite(xn) and math.isfinite(yn)) or xn <= -1.0:
+                if xn < 0.0 or yn < 0.0:
+                    left = True
+                samples.append((n, State(xn, yn)))
+                break
             if xn < 0.0 or yn < 0.0:
                 left = True
-            samples.append((n, State(xn, yn)))
-            break
+            if xn > divergence_threshold:
+                verdict = OrbitVerdict.DIVERGED_X
+                y_est = yn
+                x, y = xn, yn
+                break
 
-        if xn < 0.0 or yn < 0.0:
-            left = True
-
-        slot = n % _HISTORY
-        hist_x[slot] = xn
-        hist_y[slot] = yn
+        hist_x[n & mask] = xn
+        hist_y[n & mask] = yn
 
         if n >= next_sample:
             samples.append((n, State(xn, yn)))
@@ -194,45 +213,38 @@ def orbit(
             else:
                 next_sample = max(n + 1.0, next_sample * _SAMPLE_GROWTH)
 
-        if xn > divergence_threshold:
-            verdict = OrbitVerdict.DIVERGED_X
-            y_est = yn
-            x, y = xn, yn
-            break
-
-        succ = abs(xn - x)
-        dy = abs(yn - y)
-        if dy > succ:
-            succ = dy
-
-        if succ < tol:
-            dist, target = _distance_to_target(xn, yn, points, curve)
+        if ntol < xn - x < tol and ntol < yn - y < tol:
+            if targets is None:
+                targets = _fixed_point_targets(p)
+            dist, target = _distance_to_target(xn, yn, *targets)
             if dist <= 10.0 * tol:
                 verdict = OrbitVerdict.CONVERGED
                 limit = target
                 x, y = xn, yn
                 break
-        else:
-            if n >= 2:
-                back2 = (n - 2) % _HISTORY
-                if abs(xn - hist_x[back2]) < tol and abs(yn - hist_y[back2]) < tol:
+            if n == next_scan:
+                next_scan += _FULL_SCAN_STRIDE
+        elif ntol < xn - px < tol and ntol < yn - py < tol:
+            verdict = OrbitVerdict.PERIODIC
+            period = 2
+            x, y = xn, yn
+            break
+        elif n == next_scan:
+            next_scan += _FULL_SCAN_STRIDE
+            for k in range(3, min(n, mask) + 1):  # k = 2 failed just above
+                idx = (n - k) & mask
+                if ntol < xn - hist_x[idx] < tol and ntol < yn - hist_y[idx] < tol:
                     verdict = OrbitVerdict.PERIODIC
-                    period = 2
-                    x, y = xn, yn
+                    period = k
                     break
-            if n % _FULL_SCAN_STRIDE == 0 and n >= 3:
-                kmax = min(n, _HISTORY - 1)
-                for k in range(2, kmax + 1):
-                    idx = (n - k) % _HISTORY
-                    if abs(xn - hist_x[idx]) < tol and abs(yn - hist_y[idx]) < tol:
-                        verdict = OrbitVerdict.PERIODIC
-                        period = k
-                        break
-                if verdict is OrbitVerdict.PERIODIC:
-                    x, y = xn, yn
-                    break
+            if period is not None:
+                x, y = xn, yn
+                break
 
-        x, y = xn, yn
+        px = x
+        py = y
+        x = xn
+        y = yn
 
     if samples[-1][0] != n:
         samples.append((n, State(x, y)))

@@ -122,10 +122,12 @@ def _threshold(alpha, mu, d0):
 def offspring_number_of(alpha, beta, mu, d0):
     """alpha*beta / ((alpha + d0)*mu) on plain rates; see basic_offspring_number.
 
-    Evaluated as alpha/(alpha + d0) * (beta/mu): neither divisor is zero for
-    admissible rates, where the product (alpha + d0)*mu can underflow to 0.
+    Evaluated as beta / _threshold(alpha, mu, d0).  Under round-to-nearest the
+    quotient exceeds 1 exactly when beta exceeds the threshold as computed,
+    and the threshold is at least mu > 0 for admissible rates, so the divisor
+    is never zero.
     """
-    return alpha / (alpha + d0) * (beta / mu)
+    return beta / _threshold(alpha, mu, d0)
 
 
 PRIMARY_REGIONS = ("omega_star", "phi1", "phi2", "psi")
@@ -157,7 +159,8 @@ def basic_offspring_number(p: Params) -> float:
     """Expected offspring per adult over its lifetime.
 
     r0 = alpha*beta / ((alpha + d0)*mu).  r0 > 1 is equivalent to
-    beta > mu*(1 + d0/alpha); the equivalence is exercised in tests.
+    beta > birth_threshold(p), and holds exactly in floating point because
+    r0 is computed as beta / birth_threshold(p).
     """
     return offspring_number_of(p.alpha, p.beta, p.mu, p.d0)
 

@@ -483,6 +483,19 @@ class TestProcessLevel:
         assert out.returncode == 0
         assert "Traceback" not in out.stderr
 
+    def test_simulate_leaving_the_domain_needs_no_fixed_points(self):
+        # find_fixed_points fails on these rates (the phi1 root overflows),
+        # but the orbit leaves the domain x > -1 after one step
+        argv = ["simulate", "--alpha", "1e300", "--beta", "2", "--mu", "1",
+                "--d0", "1e-10", "--x0", "1", "--y0", "1", "--json"]
+        out = subprocess.run([sys.executable, "-m", "mospop", *argv],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        payload = json.loads(out.stdout)
+        assert payload["verdict"] == "undecided"
+        assert payload["iterations_used"] == 1
+        assert payload["left_positive_quadrant"]
+
     # Each argument list runs cli.main in a fresh interpreter, which then
     # must not hold numpy: only sweep, verify, stability and the --verify
     # blocks that build arrays import it.

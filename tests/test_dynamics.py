@@ -20,6 +20,159 @@ from mospop.params import validate
 EX1 = validate(1.5, 0.4, 0.5, 0.0, 0.0)
 EX3 = validate(6.0, 0.5, 0.4, 0.6, 0.0)
 
+# Whole-orbit results captured from the orbit loop before it was rewritten
+# for speed; the rewrite must reproduce them bit for bit.  Each entry holds
+# rates, z0 and keyword arguments, then verdict, iterations_used, period,
+# left_positive_quadrant, len(samples), the limit and the final sample
+# (n, x, y), floats as float.hex.  Together they reach every exit of the loop.
+GOLDEN_ORBITS = {
+    "origin": (
+        (1.5, 0.4, 0.5, 0.0, 0.0),
+        (5.0, 4.0), {},
+        ("converged", 265, None, False, 266,
+         ("0x0.0p+0", "0x0.0p+0"),
+         (265, "0x1.7fe6b11a6310ap-29", "0x1.552e639202a7ap-27")),
+    ),
+    "positive_point": (
+        (6.0, 0.5, 0.4, 0.6, 0.0),
+        (50.0, 80.0), {},
+        ("converged", 254, None, False, 255,
+         ("0x1.7fffffffffffep+0", "0x1.1ffffffffffffp+3"),
+         (254, "0x1.8000000d66ac6p+0", "0x1.20000004f8648p+3")),
+    ),
+    "psi_curve": (
+        (0.5, 1.0, 1.0, 0.0, 0.0),
+        (2.0, 0.1), {},
+        ("converged", 9, None, False, 10,
+         ("0x1.c7a5392f606c8p+0", "0x1.47d181a8d1a2cp-2"),
+         (9, "0x1.c7a5392f606c8p+0", "0x1.47d181a8e4b46p-2")),
+    ),
+    # steps fall below tol long before the origin is within 10*tol,
+    # on the scan steps 6979 and 7976 too
+    "candidate_fails_on_scan_steps": (
+        (0.005, 0.004, 0.008, 0.0, 0.0),
+        (3.0, 3.0), {"tol": 1e-06},
+        ("converged", 8620, None, False, 1024,
+         ("0x0.0p+0", "0x0.0p+0"),
+         (8620, "0x1.4f70ea4636de8p-17", "0x1.0dc613e3496bbp-17")),
+    ),
+    "fast_divergence": (
+        (2.0, 375000.5, 0.5, 0.0, 0.0),
+        (1.0, 1.0), {},
+        ("diverged_x", 669, None, False, 670,
+         None,
+         (669, "0x1.dd13588ce1a77p+29", "0x1.fffffff763749p+1")),
+    ),
+    "slow_divergence": (
+        (2.0, 2500.5, 0.5, 0.0, 0.0),
+        (1.0, 1.0), {},
+        ("diverged_x", 100003, None, False, 1050,
+         None,
+         (100003, "0x1.dcd787e4c927ep+29", "0x1.fffffff768f46p+1")),
+    ),
+    "custom_threshold": (
+        (1.5, 0.5, 0.4, 0.0, 0.0),
+        (10.0, 9.0), {"divergence_threshold": 1000.0},
+        ("diverged_x", 2634, None, False, 1012,
+         None,
+         (2634, "0x1.f417ee0eac33fp+9", "0x1.df852694036f4p+1")),
+    ),
+    # the step past the threshold is the first with y < 0
+    "diverges_leaving_the_quadrant": (
+        (4.110981000522287, 47.69175236772225, 2.2249023080491126, 0.0, 0.0),
+        (1.8898957278071227, 0.923278222661963), {"divergence_threshold": 1000.0},
+        ("diverged_x", 13, None, True, 14,
+         None,
+         (13, "0x1.1260613fb01dap+10", "-0x1.9b290e460a898p-1")),
+    ),
+    # step 1 ends within tol of (0, 0), a state the orbit never had
+    "first_step_lands_near_zero": (
+        (1.5, 1e-12, 1.0, 0.0, 0.0),
+        (0.0, 1.0), {},
+        ("converged", 2, None, True, 3,
+         ("0x0.0p+0", "0x0.0p+0"),
+         (2, "-0x1.19799812db00ap-41", "0x1.a636641c4c216p-40")),
+    ),
+    "period_2_lookback": (
+        (2.0, 1.0, 1.0, 0.0, 0.0),
+        (0.3, 0.7), {},
+        ("periodic", 2, 2, False, 3,
+         None,
+         (2, "0x1.3333333333331p-2", "0x1.6666666666667p-1")),
+    ),
+    "period_2_after_transient": (
+        (1.8229666590708402, 3.347623726066834, 0.7149836724323362,
+         0.41901255275454363, 0.13107367650348334),
+        (2.7300511689466695, 1.0613520718597766), {"tol": 1e-06},
+        ("periodic", 196, 2, False, 197,
+         None,
+         (196, "0x1.490f8f28f4dd0p+2", "0x1.1137b9da6adfap+1")),
+    ),
+    "period_4_full_scan": (
+        (3.5689349765964598, 36.032676901289264, 0.6702651031371167,
+         0.001813489701501536, 0.008683269922283887),
+        (0.4640761766499334, 2.9993656945920977), {"tol": 1e-06},
+        ("periodic", 997, 4, False, 998,
+         None,
+         (997, "0x1.8a6c217979004p+7", "0x1.421864a200246p+2")),
+    ),
+    # a long cycle that dips out of the quadrant
+    "period_309_full_scan": (
+        (3.2954367571530585, 0.013308304816805516, 0.8803663151242577, 0.0, 0.0),
+        (5.651011998976019, 2.706790382132781), {"tol": 0.001, "max_iter": 20000},
+        ("periodic", 10967, 309, True, 1027,
+         None,
+         (10967, "-0x1.8bb1f09f10400p-2", "0x1.3d88b9544b48ep-1")),
+    ),
+    # a 4-cycle on the line x + y = const of a psi map with one step shorter
+    # than tol, to a point with x < 0 where no curve point counts as near:
+    # scan step 997 lands there and fails the convergence test, and the
+    # next scan, at 1994, finds the cycle
+    "period_4_after_candidate_fails_on_scan_step": (
+        (5.464895525258358, 0.6038363062545913, 0.6038363062545913, 0.0, 0.0),
+        (2.7662819965799823, 0.5929544210696154), {"tol": 6.628070314745864},
+        ("periodic", 1994, 4, True, 1009,
+         None,
+         (1994, "0x1.6d8e17477f1fep+5", "-0x1.52ae5fefb46d4p+5")),
+    ),
+    "domain_exit": (
+        (1.0, 2.0, 0.5, 0.2, 0.8),
+        (4.0, 0.05), {},
+        ("undecided", 1, None, True, 2,
+         None,
+         (1, "-0x1.499999999999ap+3", "0x1.a666666666667p-1")),
+    ),
+    "non_finite_y": (
+        (1.0, 1e-10, 10000000000.0, 0.0, 0.0),
+        (1.0, 1e+300), {},
+        ("undecided", 1, None, True, 2,
+         None,
+         (1, "0x1.485ce9e7a065fp+963", "-inf")),
+    ),
+    # x overflows to inf, which an infinite threshold does not catch
+    "non_finite_x_infinite_threshold": (
+        (1.0, 10000000000.0, 0.5, 0.0, 0.0),
+        (1.0, 1e+300), {"divergence_threshold": math.inf},
+        ("undecided", 1, None, False, 2,
+         None,
+         (1, "inf", "0x1.7e43c8800759cp+995")),
+    ),
+    "budget_exhausted": (
+        (1.5, 0.4, 0.5, 0.0, 0.0),
+        (5.0, 4.0), {"max_iter": 5},
+        ("undecided", 5, None, False, 6,
+         None,
+         (5, "0x1.391086eca5030p+2", "0x1.47ee4fcf3e3a2p+1")),
+    ),
+    "left_quadrant": (
+        (6.0, 0.2, 1.9, 0.9, 0.0),
+        (0.1, 0.1), {"max_iter": 50},
+        ("undecided", 3, None, True, 4,
+         None,
+         (3, "-0x1.7a1b70755a9dap+2", "0x1.69c29e1fc7b04p+3")),
+    ),
+}
+
 
 class TestStep:
     def test_frozen_value(self):
@@ -142,6 +295,29 @@ class TestOrbit:
                 <= 1e-7
                 for q in pts
             )
+
+    @pytest.mark.parametrize("name", list(GOLDEN_ORBITS))
+    def test_golden_orbit_bit_for_bit(self, name):
+        rates, z0, kwargs, expected = GOLDEN_ORBITS[name]
+        res = orbit(validate(*rates), z0, **kwargs)
+        n, final = res.samples[-1]
+        limit = None if res.limit is None else (res.limit.x.hex(), res.limit.y.hex())
+        got = (res.verdict.value, res.iterations_used, res.period,
+               res.left_positive_quadrant, len(res.samples), limit,
+               (n, final.x.hex(), final.y.hex()))
+        assert got == expected
+
+    def test_domain_exit_needs_no_fixed_points(self):
+        # the phi1 root of these rates lies beyond the double range, so
+        # find_fixed_points raises; the orbit leaves the domain in one step
+        # and never asks for it
+        p = validate(1e300, 2.0, 1.0, 1e-10, 0.0)
+        with pytest.raises(ValueError):
+            find_fixed_points(p)
+        res = orbit(p, (1.0, 1.0))
+        assert res.verdict is OrbitVerdict.UNDECIDED
+        assert res.iterations_used == 1
+        assert res.left_positive_quadrant
 
     def test_matched_rates_orbit_lands_on_the_curve(self):
         p = validate(0.5, 1.0, 1.0, 0.0, 0.0)

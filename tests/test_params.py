@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mospop.params import (
@@ -194,6 +194,9 @@ def test_theta_splits_into_three_pieces(alpha, beta, mu, d0, d1):
 
 @given(finite_pos, finite_pos, finite_pos, death, death)
 @settings(max_examples=300, deadline=None)
+# beta one ulp above the threshold, where alpha/(alpha + d0) * (beta/mu)
+# rounds to exactly 1.0
+@example(2.912, 0.12334615384615386, 0.112, 0.295, 0.0)
 def test_offspring_number_above_one_iff_beta_above_threshold(alpha, beta, mu, d0, d1):
     p = validate(alpha, beta, mu, d0, d1)
     assert (basic_offspring_number(p) > 1.0) == (beta > birth_threshold(p))
