@@ -10,7 +10,8 @@ repeated invocations with identical flags produce byte-identical output.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid parameters or
 usage, 3 I/O failure.  The environment variable MOSPOP_TOL overrides the
-default convergence tolerance of `simulate` (flag --tol still wins).
+default convergence tolerance of `simulate` (flag --tol still wins); every
+tolerance must be a positive finite float.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .fixed_points import (
     DEFAULT_CONTINUUM_GRID,
     FixedPointKind,
     find_fixed_points,
+    larval_quadratic,
 )
 from .oracles import (
     fd_derivative,
@@ -72,6 +74,7 @@ from .stability import (
 )
 
 TOL_ENV = "MOSPOP_TOL"
+MAX_SWEEP_CELLS = 10**7
 SWEEP_QUANTITIES = (
     "region",
     "r0",
@@ -108,17 +111,25 @@ def _usage_error(msg: str) -> None:
     raise SystemExit(2)
 
 
-def _default_tol() -> float:
-    raw = os.environ.get(TOL_ENV)
+def _tol(args, env: bool = False) -> float:
+    """--tol, else (with env) MOSPOP_TOL, else 1e-9; positive and finite."""
+    raw, source = args.tol, "--tol"
+    if raw is None and env:
+        raw, source = os.environ.get(TOL_ENV), TOL_ENV
     if raw is None:
         return 1e-9
     try:
         v = float(raw)
     except ValueError:
-        _usage_error(f"{TOL_ENV} must be a float, got {raw!r}")
+        _usage_error(f"{source} must be a float, got {raw!r}")
     if not (v > 0 and math.isfinite(v)):
-        _usage_error(f"{TOL_ENV} must be a positive float, got {raw!r}")
+        _usage_error(f"{source} must be a positive float, got {raw!r}")
     return v
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(text)
 
 
 def _params_from_args(args) -> Params:
@@ -126,7 +137,7 @@ def _params_from_args(args) -> Params:
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in human:
@@ -141,33 +152,21 @@ def _emit(args, payload: dict, human: list[str]) -> None:
 def cmd_classify(args) -> int:
     p = _params_from_args(args)
     label = classify(p)
-    r0 = basic_offspring_number(p)
-    thr = birth_threshold(p)
-    flags = {
-        "in_omega_star": label.in_omega_star,
-        "in_phi1": label.in_phi1,
-        "in_phi2": label.in_phi2,
-        "in_psi": label.in_psi,
-        "in_theta": label.in_theta,
-        "in_theta1": label.in_theta1,
-        "in_theta2": label.in_theta2,
-        "in_theta_star": label.in_theta_star,
-        "in_phi_star": label.in_phi_star,
-        "in_psi_star": label.in_psi_star,
-    }
+    flags = {k: v for k, v in vars(label).items() if k.startswith("in_")}
     payload = {
         "params": {k: _jnum(v) for k, v in zip(RATES, p.astuple())},
         "primary_region": primary_region(p),
         "flags": flags,
         "simplex_class": label.simplex_class.value,
-        "r0": _jnum(r0),
-        "birth_threshold": _jnum(thr),
+        "r0": _jnum(basic_offspring_number(p)),
+        "birth_threshold": _jnum(birth_threshold(p)),
     }
     human = [
         f"primary region: {payload['primary_region']}",
-        f"r0: {fmt(r0)}  (birth threshold for beta: {fmt(thr)})",
+        f"r0: {fmt(payload['r0'])}  "
+        f"(birth threshold for beta: {fmt(payload['birth_threshold'])})",
         "flags: " + ", ".join(k for k, v in flags.items() if v),
-        f"simplex class: {label.simplex_class.value}",
+        f"simplex class: {payload['simplex_class']}",
     ]
     if label.in_psi:
         human.append("note: continuum of fixed points (matched rates, "
@@ -215,39 +214,30 @@ def cmd_fixed_points(args) -> int:
         payload["curve"] = "y = alpha*x/(mu*(1+x)) for all x >= 0"
         payload["sample_grid"] = [_jnum(x) for x in fps.sample_grid]
 
-    human = [f"kind: {fps.kind.value}"]
-    for r in fps.points:
-        human.append(
-            f"  ({fmt(r.location.x)}, {fmt(r.location.y)})"
-            f"  formula={r.formula.value}  residual={fmt(r.residual)}"
-        )
-    if fps.quad_discriminant is not None:
-        human.append(f"quadratic discriminant: {fmt(fps.quad_discriminant)}")
-    if fps.kind is FixedPointKind.CONTINUUM:
-        human.insert(1, "curve: y = alpha*x/(mu*(1+x)), sampled at "
-                     + ", ".join(fmt(x) for x in fps.sample_grid))
-
     if args.verify:
-        checks = {}
-        worst = 0.0
-        for r in fps.points:
-            nx, ny = step(p, r.location)
-            worst = max(worst, abs(nx - r.location.x), abs(ny - r.location.y))
-        checks["max_step_residual"] = _jnum(worst)
-        c = p.d0 + p.alpha * (1.0 - p.beta / p.mu)
-        worst_q = 0.0
-        for r in fps.points:
-            x = r.location.x
-            if x > 0.0:
-                worst_q = max(
-                    worst_q, abs(p.d1 * x * x + (p.d0 + p.d1) * x + c)
-                )
-        checks["max_quadratic_residual"] = _jnum(worst_q)
-        payload["verification"] = checks
-        human.append(
-            f"verification: max step residual {fmt(worst)}, "
-            f"max quadratic residual {fmt(worst_q)}"
-        )
+        a, b, c = larval_quadratic(p)
+        xs = [r.location.x for r in fps.points]
+        payload["verification"] = {
+            # the origin comes first with residual 0
+            "max_step_residual": _jnum(max(r.residual for r in fps.points)),
+            "max_quadratic_residual": _jnum(
+                max([0.0] + [abs(a * x * x + b * x + c) for x in xs if x > 0.0])
+            ),
+        }
+
+    human = [f"kind: {payload['kind']}"]
+    if "sample_grid" in payload:
+        human.append("curve: y = alpha*x/(mu*(1+x)), sampled at "
+                     + ", ".join(fmt(x) for x in payload["sample_grid"]))
+    for pt in payload["points"]:
+        human.append(f"  ({fmt(pt['x'])}, {fmt(pt['y'])})"
+                     f"  formula={pt['formula']}  residual={fmt(pt['residual'])}")
+    if "discriminant" in payload:
+        human.append(f"quadratic discriminant: {fmt(payload['discriminant'])}")
+    if args.verify:
+        v = payload["verification"]
+        human.append(f"verification: max step residual {fmt(v['max_step_residual'])}, "
+                     f"max quadratic residual {fmt(v['max_quadratic_residual'])}")
     _emit(args, payload, human)
     return 0
 
@@ -255,6 +245,25 @@ def cmd_fixed_points(args) -> int:
 # ---------------------------------------------------------------------------
 # stability
 # ---------------------------------------------------------------------------
+
+
+def _fd_jacobian_error(p: Params, z, jac) -> float:
+    """Largest entry gap between jac and the finite-difference Jacobian of
+    the map at z, relative to max(1, largest |entry| of jac)."""
+    import numpy as np
+
+    fd = fd_jacobian(lambda x, y: step(p, (x, y)), z)
+    return float(np.max(np.abs(fd - jac)) / max(1.0, float(np.max(np.abs(jac)))))
+
+
+def _lapack_eigenvalue_gap(jac, eigs) -> float:
+    """Largest distance between eigs and LAPACK's eigenvalues of jac, both
+    ordered by descending modulus, then real part, then imaginary part."""
+    import numpy as np
+
+    lapack = sorted(np.linalg.eigvals(jac),
+                    key=lambda lam: (-abs(lam), -lam.real, -lam.imag))
+    return max(abs(complex(a) - b) for a, b in zip(lapack, eigs))
 
 
 def _stability_payload(p: Params, z, tol: float, want_verify: bool) -> dict:
@@ -270,37 +279,21 @@ def _stability_payload(p: Params, z, tol: float, want_verify: bool) -> dict:
         "type": report.type.value,
     }
     if want_verify:
-        import numpy as np
-
-        fd = fd_jacobian(lambda x, y: step(p, (x, y)), z)
-        rel = float(
-            np.max(np.abs(fd - report.jacobian))
-            / max(1.0, float(np.max(np.abs(report.jacobian))))
-        )
-        lapack = sorted(
-            np.linalg.eigvals(report.jacobian),
-            key=lambda lam: (-abs(lam), -lam.real, -lam.imag),
-        )
-        diff = max(
-            abs(complex(a) - complex(b))
-            for a, b in zip(lapack, report.eigenvalues)
-        )
         payload["verification"] = {
-            "fd_jacobian_rel_error": _jnum(rel),
-            "eigenvalue_cross_check": _jnum(diff),
+            "fd_jacobian_rel_error": _jnum(_fd_jacobian_error(p, z, report.jacobian)),
+            "eigenvalue_cross_check": _jnum(
+                _lapack_eigenvalue_gap(report.jacobian, report.eigenvalues)),
         }
     return payload
 
 
 def cmd_stability(args) -> int:
     p = _params_from_args(args)
-    tol = args.tol if args.tol is not None else 1e-9
-    targets: list[tuple[float, float]] = []
+    tol = _tol(args)
     if args.at is not None:
-        targets.append((args.at[0], args.at[1]))
+        targets = [tuple(args.at)]
     else:
-        fps = find_fixed_points(p)
-        targets.extend((r.location.x, r.location.y) for r in fps.points)
+        targets = [tuple(r.location) for r in find_fixed_points(p).points]
 
     reports = [_stability_payload(p, z, tol, args.verify) for z in targets]
     payload: dict = {"points": reports}
@@ -324,7 +317,6 @@ def cmd_stability(args) -> int:
             )
 
     if preserves_quadrant(p) and args.at is None:
-        table = declared_type_table(p)
         payload["declared_types"] = [
             {
                 "x": _jnum(d.location.x),
@@ -334,13 +326,13 @@ def cmd_stability(args) -> int:
                 "agrees": d.agrees,
                 "note": d.note,
             }
-            for d in table
+            for d in declared_type_table(p)
         ]
-        for d in table:
-            dec = "deferred" if d.declared is None else d.declared.value
+        for d in payload["declared_types"]:
             human.append(
-                f"declared at ({fmt(d.location.x)}, {fmt(d.location.y)}): {dec}"
-                f" [numeric {d.numeric.value}, agrees={d.agrees}]"
+                f"declared at ({fmt(d['x'])}, {fmt(d['y'])}): "
+                f"{d['declared'] or 'deferred'}"
+                f" [numeric {d['numeric']}, agrees={d['agrees']}]"
             )
     _emit(args, payload, human)
     return 0
@@ -349,13 +341,6 @@ def cmd_stability(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
-
-
-def _write_csv(path: str, samples) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("iter,x,y\n")
-        for n, s in samples:
-            fh.write(f"{n},{fmt(s.x)},{fmt(s.y)}\n")
 
 
 def render_trajectory_svg(samples, width: int = 720, height: int = 460) -> str:
@@ -437,12 +422,11 @@ def render_trajectory_svg(samples, width: int = 720, height: int = 460) -> str:
 
 def cmd_simulate(args) -> int:
     p = _params_from_args(args)
-    tol = args.tol if args.tol is not None else _default_tol()
     result = orbit(
         p,
         (args.x0, args.y0),
         max_iter=args.iters,
-        tol=tol,
+        tol=_tol(args, env=True),
         divergence_threshold=args.divergence_threshold,
     )
     final_n, final_s = result.samples[-1]
@@ -473,11 +457,11 @@ def cmd_simulate(args) -> int:
         human.append("note: orbit left the positive quadrant")
 
     if args.csv:
-        _write_csv(args.csv, result.samples)
+        _write(args.csv, "iter,x,y\n" + "".join(
+            f"{n},{fmt(s.x)},{fmt(s.y)}\n" for n, s in result.samples))
         human.append(f"wrote CSV: {args.csv}")
     if args.svg:
-        with open(args.svg, "w", encoding="ascii", newline="") as fh:
-            fh.write(render_trajectory_svg(result.samples))
+        _write(args.svg, render_trajectory_svg(result.samples))
         human.append(f"wrote SVG: {args.svg}")
     _emit(args, payload, human)
     return 0
@@ -492,6 +476,7 @@ def cmd_simplex(args) -> int:
     sp = SimplexParams(args.alpha, args.beta)
     report = analyze(sp)
     inv = report.invariance
+    roots = [_jnum(r) for r in report.period2.roots]
     payload: dict = {
         "alpha": _jnum(sp.alpha),
         "beta": _jnum(sp.beta),
@@ -504,7 +489,7 @@ def cmd_simplex(args) -> int:
         "monotonic_shape": report.monotonic_shape.value,
         "period2": {
             "kind": report.period2.kind.value,
-            "roots": [_jnum(r) for r in report.period2.roots],
+            "roots": roots,
             "containment_holds": report.period2.containment_holds,
         },
     }
@@ -515,11 +500,7 @@ def cmd_simplex(args) -> int:
         f"shape class: {report.shape_class.value} "
         f"({report.monotonic_shape.value})",
         f"period-2 set: {report.period2.kind.value}"
-        + (
-            "  roots: " + ", ".join(fmt(r) for r in report.period2.roots)
-            if report.period2.roots
-            else ""
-        ),
+        + ("  roots: " + ", ".join(fmt(r) for r in roots) if roots else ""),
     ]
     if inv.witness is not None:
         payload["witness"] = {
@@ -533,13 +514,10 @@ def cmd_simplex(args) -> int:
         payload["x_min"] = _jnum(report.x_min)
         human.append(f"interior minimum of U at x = {fmt(report.x_min)}")
     if report.proof_roots is not None:
-        payload["invariance_quadratic_roots"] = [
-            _jnum(r) for r in report.proof_roots
-        ]
-        human.append(
-            "invariance quadratic roots: "
-            + ", ".join(fmt(r) for r in report.proof_roots)
-        )
+        proof_roots = [_jnum(r) for r in report.proof_roots]
+        payload["invariance_quadratic_roots"] = proof_roots
+        human.append("invariance quadratic roots: "
+                     + ", ".join(fmt(r) for r in proof_roots))
 
     if args.x0 is not None:
         limit = u_orbit_limit(sp, args.x0)
@@ -564,10 +542,8 @@ def cmd_simplex(args) -> int:
             for _ in range(args.orbit):
                 xs.append(float(u_map(sp, xs[-1])))
             if args.csv:
-                with open(args.csv, "w", encoding="ascii", newline="") as fh:
-                    fh.write("iter,x\n")
-                    for i, v in enumerate(xs):
-                        fh.write(f"{i},{fmt(v)}\n")
+                _write(args.csv, "iter,x\n" + "".join(
+                    f"{i},{fmt(v)}\n" for i, v in enumerate(xs)))
                 human.append(f"wrote CSV: {args.csv}")
             else:
                 payload["orbit"]["iterates"] = [_jnum(v) for v in xs]
@@ -597,7 +573,12 @@ def cmd_simplex(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_axis(spec: str):
+def _parse_axis(spec: str) -> tuple[str, float, float, int]:
+    """(name, lo, step, count) of the axis spec name:lo:hi:step.
+
+    count is capped at MAX_SWEEP_CELLS + 1, so a huge or overflowing span
+    fails the grid size check in cmd_sweep without building any values.
+    """
     try:
         name, lo, hi, step_ = spec.split(":")
         lo, hi, step_ = float(lo), float(hi), float(step_)
@@ -610,10 +591,7 @@ def _parse_axis(spec: str):
     if step_ <= 0 or hi < lo:
         _usage_error(f"empty axis range in {spec!r}")
     span = (hi - lo) / step_ + 1e-9
-    if not math.isfinite(span):
-        _usage_error(f"too many axis points in {spec!r}")
-    count = int(math.floor(span)) + 1
-    return name, [lo + k * step_ for k in range(count)]
+    return name, lo, step_, int(min(span, MAX_SWEEP_CELLS)) + 1
 
 
 # what find_fixed_points returns on each of PRIMARY_REGIONS, as a count
@@ -652,25 +630,24 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list[str]
 def cmd_sweep(args) -> int:
     import numpy as np
 
-    name1, vals1 = _parse_axis(args.axis1)
-    name2, vals2 = _parse_axis(args.axis2)
+    name1, lo1, step1, n1 = _parse_axis(args.axis1)
+    name2, lo2, step2, n2 = _parse_axis(args.axis2)
     if name1 == name2:
         _usage_error("the two axes must name distinct parameters")
+    if n1 * n2 > MAX_SWEEP_CELLS:
+        _usage_error(f"the grid {args.axis1} x {args.axis2} has more than "
+                     f"{MAX_SWEEP_CELLS} cells")
+    vals1 = [lo1 + k * step1 for k in range(n1)]
+    vals2 = [lo2 + k * step2 for k in range(n2)]
 
-    fixed = {"alpha": args.alpha, "beta": args.beta, "mu": args.mu,
-             "d0": args.d0, "d1": args.d1}
+    fixed = {name: getattr(args, name) for name in RATES}
     x_star = args.quantity == "x_star"
-    needed = ("alpha", "beta") if x_star else RATES
-    for name in needed:
-        if name in (name1, name2):
-            continue
-        if fixed[name] is None:
-            _usage_error(
-                f"--{name} is required (not an axis) for quantity "
-                f"{args.quantity!r}"
-            )
+    for name in ("alpha", "beta") if x_star else RATES:
+        if fixed[name] is None and name not in (name1, name2):
+            _usage_error(f"--{name} is required (not an axis) for quantity "
+                         f"{args.quantity!r}")
 
-    shape = (len(vals1), len(vals2))
+    shape = (n1, n2)
     grid = dict(fixed)
     grid[name1] = np.array(vals1)[:, None]
     grid[name2] = np.array(vals2)
@@ -700,8 +677,7 @@ def cmd_sweep(args) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        _write(args.output, text)
         if args.json:
             grid_points = itertools.product([_jnum(v) for v in vals1],
                                             [_jnum(v) for v in vals2])
@@ -720,16 +696,15 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check(name: str, ok: bool, detail: str, results: list) -> None:
-    results.append({"name": name, "pass": bool(ok), "detail": detail})
-
-
 def cmd_verify(args) -> int:
     import numpy as np
 
     rng = np.random.default_rng(args.seed)
     n = args.draws
     results: list[dict] = []
+
+    def check(name: str, ok: bool, detail: str) -> None:
+        results.append({"name": name, "pass": bool(ok), "detail": detail})
 
     worst = 0.0
     for _ in range(n):
@@ -741,43 +716,32 @@ def cmd_verify(args) -> int:
             num = abs(a * r * r + b * r + c)
             den = max(abs(a) * abs(r) ** 2, abs(b) * abs(r), abs(c), 1.0)
             worst = max(worst, num / den)
-    _check("quad_roots_residual", worst <= 1e-10,
-           f"worst relative residual {fmt(worst)} over {n} draws", results)
+    check("quad_roots_residual", worst <= 1e-10,
+          f"worst relative residual {fmt(worst)} over {n} draws")
 
     worst = 0.0
     for p in sample_region("omega", n, rng):
         x = float(rng.uniform(0.0, 5.0))
         y = float(rng.uniform(0.0, 5.0))
-        an = jacobian(p, (x, y))
-        fd = fd_jacobian(lambda u, v: step(p, (u, v)), (x, y))
-        rel = float(np.max(np.abs(fd - an)) / max(1.0, float(np.max(np.abs(an)))))
-        worst = max(worst, rel)
-    _check("fd_jacobian_agreement", worst <= 1e-5,
-           f"worst relative error {fmt(worst)} over {n} draws", results)
+        worst = max(worst, _fd_jacobian_error(p, (x, y), jacobian(p, (x, y))))
+    check("fd_jacobian_agreement", worst <= 1e-5,
+          f"worst relative error {fmt(worst)} over {n} draws")
 
     worst = 0.0
     for p in sample_region("omega", n, rng):
         x = float(rng.uniform(0.0, 5.0))
         m = jacobian(p, (x, rng.uniform(0.0, 5.0)))
-        ours = eigenvalues(m)
-        lapack = sorted(
-            np.linalg.eigvals(m),
-            key=lambda lam: (-abs(lam), -lam.real, -lam.imag),
-        )
-        worst = max(
-            worst,
-            max(abs(complex(l) - o) for l, o in zip(lapack, ours)),
-        )
-    _check("eigenvalue_cross_check", worst <= 1e-9,
-           f"worst |difference| {fmt(worst)} over {n} draws", results)
+        worst = max(worst, _lapack_eigenvalue_gap(m, eigenvalues(m)))
+    check("eigenvalue_cross_check", worst <= 1e-9,
+          f"worst |difference| {fmt(worst)} over {n} draws")
 
     bad = 0
     for p in sample_region("omega", n, rng):
         lhs = basic_offspring_number(p) > 1.0
         rhs = p.beta > birth_threshold(p)
         bad += lhs != rhs
-    _check("r0_threshold_equivalence", bad == 0,
-           f"{bad} disagreements over {n} draws", results)
+    check("r0_threshold_equivalence", bad == 0,
+          f"{bad} disagreements over {n} draws")
 
     worst = 0.0
     for region in ("omega_star", "phi1", "phi2", "psi"):
@@ -786,8 +750,8 @@ def cmd_verify(args) -> int:
             for rpt in fps.points:
                 scale = max(1.0, abs(rpt.location.x), abs(rpt.location.y))
                 worst = max(worst, rpt.residual / scale)
-    _check("fixed_point_residuals", worst <= 1e-10,
-           f"worst scaled residual {fmt(worst)}", results)
+    check("fixed_point_residuals", worst <= 1e-10,
+          f"worst scaled residual {fmt(worst)}")
 
     worst = 0.0
     worst_scan = 0
@@ -800,9 +764,8 @@ def cmd_verify(args) -> int:
                                     grid=256)
             worst_scan = max(worst_scan, len(scan))
     ok = worst <= 1e-12 and worst_scan == 0
-    _check("simplex_fixed_point_and_cycles", ok,
-           f"worst |U(x*)-x*| {fmt(worst)}, stray 2-cycles {worst_scan}",
-           results)
+    check("simplex_fixed_point_and_cycles", ok,
+          f"worst |U(x*)-x*| {fmt(worst)}, stray 2-cycles {worst_scan}")
 
     all_ok = all(r["pass"] for r in results)
     if args.json:
@@ -863,12 +826,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("stability", help="linearize and type fixed points")
     _add_param_flags(s)
-    grp = s.add_mutually_exclusive_group()
-    grp.add_argument("--at", type=float, nargs=2, metavar=("X", "Y"),
-                     default=None, help="classify this state instead of all "
-                     "fixed points")
-    grp.add_argument("--all-fixed-points", action="store_true",
-                     help="classify every fixed point (the default)")
+    s.add_argument("--at", type=float, nargs=2, metavar=("X", "Y"),
+                   default=None, help="classify this state instead of all "
+                   "fixed points")
     s.add_argument("--tol", type=float, default=None,
                    help="fixed-point residual tolerance (default 1e-9)")
     s.add_argument("--verify", action="store_true",

@@ -147,8 +147,8 @@ def orbit(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     if not (divergence_threshold > 0):
         raise ValueError("divergence_threshold must be > 0")
 
@@ -293,6 +293,6 @@ def local_limit(p: Params, z0: Optional[Sequence[float]] = None) -> State:
         return State(0.0, 0.0)
     if p.d0 == 0.0:
         return State(math.inf, p.alpha / p.mu)
-    xs = p.alpha * (p.beta - p.mu) / (p.mu * p.d0) - 1.0
-    ys = p.alpha * xs / (p.mu * (1.0 + xs))
-    return State(xs, ys)
+    from .fixed_points import phi1_point
+
+    return phi1_point(p)

@@ -18,9 +18,9 @@ classification of the quadratic decides what else exists:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from .dynamics import State, step
 from .params import Params, classify
@@ -34,6 +34,8 @@ __all__ = [
     "discriminant",
     "find_fixed_points",
     "gamma",
+    "larval_quadratic",
+    "phi1_point",
 ]
 
 DEFAULT_CONTINUUM_GRID = (0.0, 0.5, 1.0, 2.0, 10.0)
@@ -49,6 +51,19 @@ def gamma(p: Params, x: float):
     if bad if isinstance(bad, bool) else bad.any():
         raise ValueError("gamma is defined for x > -1 only")
     return p.alpha * x / (p.mu * (1.0 + x))
+
+
+def larval_quadratic(p: Params) -> tuple[float, float, float]:
+    """Coefficients (a, b, c) of the fixed-point equation a*x**2 + b*x + c = 0
+    for x != 0: (d1, d0 + d1, d0 + alpha*(1 - beta/mu))."""
+    return p.d1, p.d0 + p.d1, p.d0 + p.alpha * (1.0 - p.beta / p.mu)
+
+
+def phi1_point(p: Params) -> State:
+    """The positive fixed point of the d1 = 0 branch (phi1):
+    x = alpha*(beta - mu)/(mu*d0) - 1, y = gamma(x)."""
+    x = p.alpha * (p.beta - p.mu) / (p.mu * p.d0) - 1.0
+    return State(x, float(gamma(p, x)))
 
 
 def discriminant(p: Params) -> float:
@@ -82,7 +97,6 @@ class FixedPointReport:
     location: State
     formula: FormulaTag
     residual: float
-    discriminant: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -90,15 +104,14 @@ class FixedPointSet:
     """All fixed points of the map for one parameter vector.
 
     For the continuum kind, points holds samples along the curve
-    x -> (x, gamma(x)) on sample_grid and curve is the parameterization
-    itself; otherwise curve is None and points is the full list.
+    x -> (x, gamma(x)) on sample_grid; otherwise sample_grid is None and
+    points is the full list.
     quad_discriminant is reported whenever d1 != 0, even when the
     quadratic contributes no nonnegative root.
     """
 
     kind: FixedPointKind
     points: tuple[FixedPointReport, ...]
-    curve: Optional[Callable[[float], float]] = None
     sample_grid: Optional[tuple[float, ...]] = None
     quad_discriminant: Optional[float] = None
 
@@ -124,9 +137,8 @@ def _positive_quadratic_root(p: Params) -> float:
     square root of disc = b*b - 4*d1*c is taken as
     sqrt(b)*sqrt(b - 4*(d1/b)*c), so b*b never overflows (d1/b <= 1).
     """
-    c = p.d0 + p.alpha * (1.0 - p.beta / p.mu)
-    b = p.d0 + p.d1
-    return -2.0 * c / (b + math.sqrt(b) * math.sqrt(b - 4.0 * (p.d1 / b) * c))
+    a, b, c = larval_quadratic(p)
+    return -2.0 * c / (b + math.sqrt(b) * math.sqrt(b - 4.0 * (a / b) * c))
 
 
 def find_fixed_points(
@@ -154,13 +166,11 @@ def find_fixed_points(
         return FixedPointSet(
             kind=FixedPointKind.CONTINUUM,
             points=pts,
-            curve=lambda x: gamma(p, x),
             sample_grid=tuple(float(x) for x in sample_grid),
         )
 
     if label.in_phi1:
-        x2 = p.alpha * (p.beta - p.mu) / (p.mu * p.d0) - 1.0
-        pt = _report(p, x2, float(gamma(p, x2)), FormulaTag.PHI1_CLOSED_FORM)
+        pt = _report(p, *phi1_point(p), FormulaTag.PHI1_CLOSED_FORM)
         return FixedPointSet(
             kind=FixedPointKind.TWO_POINTS,
             points=(origin, pt),
@@ -168,10 +178,7 @@ def find_fixed_points(
 
     if label.in_phi2:
         x2 = _positive_quadratic_root(p)
-        pt = replace(
-            _report(p, x2, float(gamma(p, x2)), FormulaTag.PHI2_CLOSED_FORM),
-            discriminant=quad_disc,
-        )
+        pt = _report(p, x2, float(gamma(p, x2)), FormulaTag.PHI2_CLOSED_FORM)
         return FixedPointSet(
             kind=FixedPointKind.TWO_POINTS,
             points=(origin, pt),

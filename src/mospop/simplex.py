@@ -44,7 +44,7 @@ from enum import Enum
 from typing import Optional
 
 from .oracles import quad_roots
-from .params import Params, SimplexClass, in_invariance_region, shape_class
+from .params import SimplexClass, in_invariance_region, shape_class
 
 __all__ = [
     "InvarianceCheck",
@@ -85,16 +85,9 @@ class SimplexParams:
     beta: float
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha)
-                and self.alpha > 0):
-            raise ValueError(f"alpha must be a finite real > 0, got {self.alpha!r}")
-        if not (isinstance(self.beta, (int, float)) and math.isfinite(self.beta)
-                and self.beta > 0):
-            raise ValueError(f"beta must be a finite real > 0, got {self.beta!r}")
-
-    def to_params(self) -> Params:
-        """The full five-rate vector this case embeds into."""
-        return Params(self.alpha, self.beta, self.beta, 0.0, 0.0)
+        for name, v in (("alpha", self.alpha), ("beta", self.beta)):
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be a finite real > 0, got {v!r}")
 
 
 def u_map(sp: SimplexParams, x):
@@ -385,10 +378,6 @@ class SimplexAnalysis:
     monotonic_shape: ShapeKind
     period2: Period2Set
     proof_roots: Optional[tuple[float, float]]
-
-    @property
-    def period2_roots(self) -> tuple[float, ...]:
-        return self.period2.roots
 
 
 def _proof_roots(sp: SimplexParams) -> Optional[tuple[float, float]]:

@@ -39,7 +39,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .dynamics import State, step
-from .fixed_points import DEFAULT_CONTINUUM_GRID, gamma
+from .fixed_points import DEFAULT_CONTINUUM_GRID, gamma, phi1_point
 from .params import Params, birth_threshold, classify
 
 if TYPE_CHECKING:
@@ -159,13 +159,10 @@ def f_value(p: Params, x: float) -> float:
     return t * t + 4.0 * p.beta * a
 
 
-def modulus_type(
-    eigs: tuple[complex, complex],
-    unit_tol: float = UNIT_CIRCLE_TOL,
-) -> FixedPointType:
+def modulus_type(eigs: tuple[complex, complex]) -> FixedPointType:
     """Four-way type from eigenvalue moduli with a unit-circle band."""
     moduli = [abs(lam) for lam in eigs]
-    if any(abs(r - 1.0) <= unit_tol for r in moduli):
+    if any(abs(r - 1.0) <= UNIT_CIRCLE_TOL for r in moduli):
         return FixedPointType.NON_HYPERBOLIC
     if all(r < 1.0 for r in moduli):
         return FixedPointType.ATTRACTING
@@ -174,22 +171,18 @@ def modulus_type(
     return FixedPointType.SADDLE
 
 
-def coarse_type(
-    eigs: tuple[complex, complex],
-    unit_tol: float = UNIT_CIRCLE_TOL,
-) -> FixedPointType:
+def coarse_type(eigs: tuple[complex, complex]) -> FixedPointType:
     """Three-way type: attracting, repelling, else saddle.
 
     This is the split the declared tables use, where a modulus equal to 1
     falls into "saddle" rather than a separate non-hyperbolic bucket.
-    Moduli within unit_tol of 1 count as equal to 1, so an eigenvalue
-    that is 1 up to rounding cannot flip the answer; pass unit_tol=0 for
-    the literal strict comparisons.
+    Moduli within UNIT_CIRCLE_TOL of 1 count as equal to 1, so an
+    eigenvalue that is 1 up to rounding cannot flip the answer.
     """
     moduli = [abs(lam) for lam in eigs]
-    if all(r < 1.0 - unit_tol for r in moduli):
+    if all(r < 1.0 - UNIT_CIRCLE_TOL for r in moduli):
         return FixedPointType.ATTRACTING
-    if all(r > 1.0 + unit_tol for r in moduli):
+    if all(r > 1.0 + UNIT_CIRCLE_TOL for r in moduli):
         return FixedPointType.REPELLING
     return FixedPointType.SADDLE
 
@@ -221,10 +214,13 @@ def classify_fixed_point(
     """Type the fixed point z of the map at p from its linearization.
 
     Raises NotAFixedPoint when one map step moves z by more than tol in the
-    max norm.  For d1 = 0 the closed-form eigenvalues and the analytic
-    attracting/repelling inequality systems are evaluated as well and must
-    agree with the modulus computation away from the unit-circle band.
+    max norm, and ValueError unless tol > 0.  For d1 = 0 the closed-form
+    eigenvalues and the analytic attracting/repelling inequality systems are
+    evaluated as well and must agree with the modulus computation away from
+    the unit-circle band.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     nx, ny = step(p, z)
     residual = max(abs(nx - float(z[0])), abs(ny - float(z[1])))
     scale = max(1.0, abs(float(z[0])), abs(float(z[1])))
@@ -311,10 +307,7 @@ def _audit(
     )
 
 
-def declared_type_table(
-    p: Params,
-    sample_grid: tuple[float, ...] = DEFAULT_CONTINUUM_GRID,
-) -> tuple[DeclaredType, ...]:
+def declared_type_table(p: Params) -> tuple[DeclaredType, ...]:
     """Closed-form stability table on the quadrant-preserving sets.
 
     Requires the quadrant-preservation inequalities (raises
@@ -325,7 +318,8 @@ def declared_type_table(
                                      docstring for the known overreach)
       theta_star + threshold equality  declared None, deferred to numeric
       phi_star                       origin saddle, positive point attracting
-      psi_star                       every curve sample declared saddle
+      psi_star                       every sample of DEFAULT_CONTINUUM_GRID
+                                     on the curve declared saddle
 
     Each entry carries the numeric audit; no exception is raised on
     disagreement so the table stays usable where the closed forms fail.
@@ -336,44 +330,26 @@ def declared_type_table(
             "declared types require d1 = 0, alpha <= 1 - d0, mu <= 1, d0 < 1"
         )
 
-    from .fixed_points import find_fixed_points
-
-    thr = birth_threshold(p)
-    out: list[DeclaredType] = []
-
     if label.in_psi_star:
-        for x in sample_grid:
-            x = float(x)
-            out.append(
-                _audit(
-                    p, x, float(gamma(p, x)), FixedPointType.SADDLE,
-                    "continuum sample; tangent eigenvalue is exactly 1",
-                )
-            )
-        return tuple(out)
+        return tuple(
+            _audit(p, x, float(gamma(p, x)), FixedPointType.SADDLE,
+                   "continuum sample; tangent eigenvalue is exactly 1")
+            for x in DEFAULT_CONTINUUM_GRID
+        )
 
     if label.in_phi_star:
-        fps = find_fixed_points(p)
-        x2, y2 = fps.points[1].location
-        out.append(
-            _audit(p, 0.0, 0.0, FixedPointType.SADDLE, "origin above threshold")
+        x2, y2 = phi1_point(p)
+        return (
+            _audit(p, 0.0, 0.0, FixedPointType.SADDLE, "origin above threshold"),
+            _audit(p, x2, y2, FixedPointType.ATTRACTING, "positive fixed point"),
         )
-        out.append(
-            _audit(p, x2, y2, FixedPointType.ATTRACTING, "positive fixed point")
-        )
-        return tuple(out)
 
     # theta_star
+    thr = birth_threshold(p)
     if p.beta < thr:
-        out.append(
-            _audit(p, 0.0, 0.0, FixedPointType.ATTRACTING, "origin below threshold")
-        )
+        declared, note = FixedPointType.ATTRACTING, "origin below threshold"
     elif p.beta > thr:
-        out.append(
-            _audit(p, 0.0, 0.0, FixedPointType.SADDLE, "origin above threshold")
-        )
+        declared, note = FixedPointType.SADDLE, "origin above threshold"
     else:
-        out.append(
-            _audit(p, 0.0, 0.0, None, "threshold equality; deferred to numeric")
-        )
-    return tuple(out)
+        declared, note = None, "threshold equality; deferred to numeric"
+    return (_audit(p, 0.0, 0.0, declared, note),)

@@ -19,7 +19,7 @@ from mospop import (
     primary_region,
     validate,
 )
-from mospop.cli import fmt, main
+from mospop.cli import MAX_SWEEP_CELLS, TOL_ENV, _parse_axis, fmt, main
 
 EX3 = ["--alpha", "6", "--beta", "0.5", "--mu", "0.4", "--d0", "0.6"]
 
@@ -138,6 +138,25 @@ class TestStability:
     def test_no_declared_table_outside_theta(self, capsys):
         d = run_json(capsys, ["stability", *EX3])
         assert "declared_types" not in d
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("command", [
+        ["stability", *EX3, "--at", "2", "2"],
+        ["simulate", *EX3, "--x0", "50", "--y0", "80"],
+    ], ids=["stability", "simulate"])
+    def test_tol_flag_must_be_positive_and_finite(self, capsys, command, tol):
+        # --tol nan used to type the non-fixed (2, 2) as attracting, and
+        # simulate --tol inf reported convergence after one step
+        code, out, err = run(capsys, [*command, "--tol", tol])
+        assert code == 2 and out == ""
+        assert err.startswith("error: --tol must be a positive float")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "0"])
+    def test_tol_env_must_be_positive_and_finite(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv(TOL_ENV, raw)
+        code, out, err = run(capsys, ["simulate", *EX3, "--x0", "50", "--y0", "80"])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {TOL_ENV} must be a")
 
     def test_verify_block_is_per_point(self, capsys):
         d = run_json(capsys, ["stability", *EX3, "--verify"])
@@ -326,6 +345,25 @@ class TestSweep:
                                           "x_star", "--output", "-"])
             assert code == 2, spec
             assert out == "" and err.startswith("error: "), spec
+
+    @pytest.mark.parametrize("axis1", [
+        "alpha:0:1:1e-12",            # a mistyped step: 10**12 values
+        "alpha:0:1:1e-4",             # 10,001 x 1,001 cells, just above the cap
+        "alpha:-1e308:1e308:1",       # the span overflows to inf
+    ])
+    def test_grid_above_the_cap_exit_2(self, capsys, axis1):
+        # rejected from the two counts alone, before any value is built
+        code, out, err = run(capsys, ["sweep", "--axis1", axis1,
+                                      "--axis2", "beta:0:1:1e-3",
+                                      "--quantity", "r0", "--mu", "1",
+                                      "--output", "-"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: the grid ") and err.count("\n") == 1
+        assert f"more than {MAX_SWEEP_CELLS} cells" in err
+
+    def test_axis_count_is_capped(self):
+        assert _parse_axis("alpha:0:9999:1") == ("alpha", 0.0, 1.0, 10_000)
+        assert _parse_axis("alpha:0:1:1e-12")[3] == MAX_SWEEP_CELLS + 1
 
     # (axis1, axis2, fixed rates); each grid is swept for every quantity
     AGREEMENT_GRIDS = [

@@ -277,6 +277,8 @@ class TestOrbit:
         with pytest.raises(ValueError):
             orbit(EX1, (1.0, 1.0), tol=0.0)
         with pytest.raises(ValueError):
+            orbit(EX1, (1.0, 1.0), tol=math.nan)
+        with pytest.raises(ValueError):
             orbit(EX1, (1.0, 1.0), divergence_threshold=0.0)
         with pytest.raises(ValueError):
             orbit(EX1, (-2.0, 1.0))

@@ -94,7 +94,6 @@ class TestFindFixedPoints:
         assert pos.location.x == pytest.approx(math.sqrt(6) - 1.0, abs=1e-12)
         assert pos.location.y == pytest.approx(1.183503419072274, abs=1e-12)
         assert fps.quad_discriminant == pytest.approx(6.0, abs=1e-12)
-        assert pos.discriminant == fps.quad_discriminant
 
     def test_quadratic_death_beyond_squared_range(self):
         # b*b = (d0 + d1)**2 overflows; the positive root is still ~1/d1
@@ -109,7 +108,6 @@ class TestFindFixedPoints:
     def test_matched_rates_continuum(self):
         fps = find_fixed_points(PSI)
         assert fps.kind is FixedPointKind.CONTINUUM
-        assert fps.curve is not None
         assert len(fps.points) == len(DEFAULT_CONTINUUM_GRID)
         assert fps.sample_grid == DEFAULT_CONTINUUM_GRID
         by_x = {pt.location.x: pt for pt in fps.points}
@@ -117,7 +115,7 @@ class TestFindFixedPoints:
         assert by_x[1.0].location.y == pytest.approx(0.5, abs=1e-15)
         for pt in fps.points:
             assert pt.formula is FormulaTag.CONTINUUM_SAMPLE
-            assert abs(fps.curve(pt.location.x) - pt.location.y) <= 1e-15
+            assert abs(gamma(PSI, pt.location.x) - pt.location.y) <= 1e-15
 
     def test_continuum_custom_grid(self):
         fps = find_fixed_points(PSI, sample_grid=(0.0, 0.25, 4.0))

@@ -315,7 +315,7 @@ class TestAnalyze:
         assert a.shape_class is SimplexClass.D
         assert a.monotonic_shape is ShapeKind.DECREASING
         assert a.period2.kind is Period2Kind.WHOLE_INTERVAL
-        assert a.period2_roots == (0.0, 1.0)
+        assert a.period2.roots == (0.0, 1.0)
         assert a.x_min is None
         assert a.proof_roots is None  # beta = 1 has no invariance quadratic
 

@@ -144,6 +144,12 @@ class TestClassify:
         rep = classify_fixed_point(EX3, near, tol=1e-2)
         assert rep.type is FixedPointType.ATTRACTING
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0])
+    def test_tol_must_be_positive(self, tol):
+        # NaN fails every comparison, so it would pass the residual gate
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            classify_fixed_point(EX3, (2.0, 2.0), tol=tol)
+
     def test_matched_rates_curve_point_is_non_hyperbolic(self):
         p = validate(0.5, 1.0, 1.0, 0.0, 0.0)
         rep = classify_fixed_point(p, (1.0, 0.25))
