@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -269,9 +270,10 @@ def _lapack_eigenvalue_gap(jac, eigs) -> float:
 def _stability_payload(p: Params, z, tol: float, want_verify: bool) -> dict:
     report = classify_fixed_point(p, z, tol=tol)
     lam1, lam2 = report.eigenvalues
+    j00, j01, j10, j11 = report.jacobian_entries
     payload = {
         "location": {"x": _jnum(float(z[0])), "y": _jnum(float(z[1]))},
-        "jacobian": [[_jnum(float(v)) for v in row] for row in report.jacobian],
+        "jacobian": [[_jnum(j00), _jnum(j01)], [_jnum(j10), _jnum(j11)]],
         "eigenvalues": [_jcomplex(lam1), _jcomplex(lam2)],
         "moduli": [_jnum(abs(lam1)), _jnum(abs(lam2))],
         "g": _jnum(report.g_value),
@@ -797,8 +799,20 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
                      help="density-dependent larval death, >= 0 (default 0)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number written with an
+    exponent, such as -1e-3, as a value and not as an option name."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern matches -1 and -0.5 but not -1e-3; its
+        # subparsers are built from the same class
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mospop",
         description="Analysis toolkit for a discrete-time two-stage "
         "mosquito population map.",

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Optional
 
 from .dynamics import State, step
-from .params import Params, classify
+from .params import Params, primary_region
 
 __all__ = [
     "DEFAULT_CONTINUUM_GRID",
@@ -151,11 +151,11 @@ def find_fixed_points(
     forms are used throughout; every report carries the max-norm residual
     of one map step at the point.
     """
-    label = classify(p)
+    region = primary_region(p)
     origin = _report(p, 0.0, 0.0, FormulaTag.ORIGIN)
     quad_disc = discriminant(p) if p.d1 != 0.0 else None
 
-    if label.in_psi:
+    if region == "psi":
         for x in sample_grid:
             if x < 0:
                 raise ValueError("continuum sample grid must be nonnegative")
@@ -169,14 +169,14 @@ def find_fixed_points(
             sample_grid=tuple(float(x) for x in sample_grid),
         )
 
-    if label.in_phi1:
+    if region == "phi1":
         pt = _report(p, *phi1_point(p), FormulaTag.PHI1_CLOSED_FORM)
         return FixedPointSet(
             kind=FixedPointKind.TWO_POINTS,
             points=(origin, pt),
         )
 
-    if label.in_phi2:
+    if region == "phi2":
         x2 = _positive_quadratic_root(p)
         pt = _report(p, x2, float(gamma(p, x2)), FormulaTag.PHI2_CLOSED_FORM)
         return FixedPointSet(

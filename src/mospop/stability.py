@@ -34,13 +34,14 @@ visible rather than patched over:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .dynamics import State, step
 from .fixed_points import DEFAULT_CONTINUUM_GRID, gamma, phi1_point
-from .params import Params, birth_threshold, classify
+from .params import Params, birth_threshold, preserves_quadrant, primary_region
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,15 +96,18 @@ def jacobian_entries(alpha, beta, mu, d0, d1, x):
             emergence_slope, 1.0 - mu)
 
 
-def jacobian(p: Params, z: Sequence[float]) -> np.ndarray:
-    """Jacobian matrix of the map at z = (x, y).  Requires x > -1."""
+def _matrix(j00, j01, j10, j11) -> np.ndarray:
     import numpy as np
 
+    return np.array([[j00, j01], [j10, j11]])
+
+
+def jacobian(p: Params, z: Sequence[float]) -> np.ndarray:
+    """Jacobian matrix of the map at z = (x, y).  Requires x > -1."""
     x = float(z[0])
     if x <= -1.0:
         raise ValueError(f"Jacobian undefined for x <= -1, got x={x}")
-    j00, j01, j10, j11 = jacobian_entries(p.alpha, p.beta, p.mu, p.d0, p.d1, x)
-    return np.array([[j00, j01], [j10, j11]])
+    return _matrix(*jacobian_entries(p.alpha, p.beta, p.mu, p.d0, p.d1, x))
 
 
 def trace_det(j00, j01, j10, j11):
@@ -111,21 +115,43 @@ def trace_det(j00, j01, j10, j11):
     return j00 + j11, j00 * j11 - j01 * j10
 
 
+_MIN_NORMAL = sys.float_info.min
+
+
+def _ldexp(v: float, k: int) -> float:
+    """v * 2**k, inf where that overflows (math.ldexp raises instead)."""
+    return math.ldexp(v, k - 1) * 2.0 if k > 0 else math.ldexp(v, k)
+
+
 def characteristic_roots(tr: float, det: float) -> tuple[complex, complex]:
     """Roots of lam**2 - tr*lam + det, ordered by descending modulus.
 
     Cancellation-safe quadratic formula; ties in modulus break by
-    descending real part, then descending imaginary part.
+    descending real part, then descending imaginary part.  When the
+    discriminant tr*tr - 4*det overflows, or falls below the normal range
+    so that its low bits are lost, the polynomial is solved for tr/2**k and
+    det/4**k instead, with 2**k near max(|tr|, sqrt(|det|)), and the roots
+    are scaled back by 2**k.  Scaling by a power of two is exact, so the
+    result matches the direct formula wherever that one is exact too.
     """
     disc = tr * tr - 4.0 * det
+    t, k = tr, 0
+    if not _MIN_NORMAL <= abs(disc) < math.inf:
+        k = math.frexp(max(abs(tr), math.sqrt(abs(det))))[1]
+        t = math.ldexp(tr, -k)
+        disc = t * t - 4.0 * math.ldexp(det, -2 * k)
     if disc >= 0.0:
         s = math.sqrt(disc)
-        q = 0.5 * (tr + s) if tr >= 0.0 else 0.5 * (tr - s)
+        q = 0.5 * (t + s) if t >= 0.0 else 0.5 * (t - s)
+        if k:
+            q = _ldexp(q, k)
         if q == 0.0:
             return (complex(0.0), complex(0.0))
         first, second = complex(q), complex(det / q)
     else:
         s = 0.5 * math.sqrt(-disc)
+        if k:
+            s = _ldexp(s, k)
         first, second = complex(0.5 * tr, s), complex(0.5 * tr, -s)
     if ((-abs(second), -second.real, -second.imag)
             < (-abs(first), -first.real, -first.imag)):
@@ -133,18 +159,41 @@ def characteristic_roots(tr: float, det: float) -> tuple[complex, complex]:
     return (first, second)
 
 
-def eigenvalues(m: np.ndarray) -> tuple[complex, complex]:
+def _matrix_roots(j00, j01, j10, j11) -> tuple[complex, complex]:
+    """Eigenvalues of [[j00, j01], [j10, j11]] from its trace and determinant.
+
+    When either overflows although the entries are finite, the matrix is
+    first divided by a power of two near its largest entry, and the roots
+    are scaled back by the same exact factor.
+    """
+    tr, det = trace_det(j00, j01, j10, j11)
+    if abs(tr) < math.inf and abs(det) < math.inf:
+        return characteristic_roots(tr, det)
+    k = math.frexp(max(abs(j00), abs(j01), abs(j10), abs(j11)))[1]
+    first, second = characteristic_roots(*trace_det(
+        math.ldexp(j00, -k), math.ldexp(j01, -k),
+        math.ldexp(j10, -k), math.ldexp(j11, -k)))
+    return (complex(_ldexp(first.real, k), _ldexp(first.imag, k)),
+            complex(_ldexp(second.real, k), _ldexp(second.imag, k)))
+
+
+def eigenvalues(m) -> tuple[complex, complex]:
     """Eigenvalues of a 2x2 matrix, ordered by descending modulus.
 
-    Solves the characteristic polynomial directly; see characteristic_roots.
+    m is any nested 2x2 sequence of reals, a numpy array included; nothing
+    here imports numpy.  Raises ValueError on any other shape.  Solves the
+    characteristic polynomial directly; see characteristic_roots.
     """
-    import numpy as np
-
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    (j00, j01), (j10, j11) = m.tolist()
-    return characteristic_roots(*trace_det(j00, j01, j10, j11))
+    shape = getattr(m, "shape", None)
+    try:
+        if shape not in (None, (2, 2)):
+            raise ValueError
+        (j00, j01), (j10, j11) = m if shape is None else m.tolist()
+        entries = float(j00), float(j01), float(j10), float(j11)
+    except (TypeError, ValueError):
+        got = repr(m) if shape is None else f"shape {shape}"
+        raise ValueError(f"expected a 2x2 matrix, got {got}") from None
+    return _matrix_roots(*entries)
 
 
 def g_value(p: Params, x: float) -> float:
@@ -161,12 +210,12 @@ def f_value(p: Params, x: float) -> float:
 
 def modulus_type(eigs: tuple[complex, complex]) -> FixedPointType:
     """Four-way type from eigenvalue moduli with a unit-circle band."""
-    moduli = [abs(lam) for lam in eigs]
-    if any(abs(r - 1.0) <= UNIT_CIRCLE_TOL for r in moduli):
+    r1, r2 = abs(eigs[0]), abs(eigs[1])
+    if abs(r1 - 1.0) <= UNIT_CIRCLE_TOL or abs(r2 - 1.0) <= UNIT_CIRCLE_TOL:
         return FixedPointType.NON_HYPERBOLIC
-    if all(r < 1.0 for r in moduli):
+    if r1 < 1.0 and r2 < 1.0:
         return FixedPointType.ATTRACTING
-    if all(r > 1.0 for r in moduli):
+    if r1 > 1.0 and r2 > 1.0:
         return FixedPointType.REPELLING
     return FixedPointType.SADDLE
 
@@ -179,23 +228,33 @@ def coarse_type(eigs: tuple[complex, complex]) -> FixedPointType:
     Moduli within UNIT_CIRCLE_TOL of 1 count as equal to 1, so an
     eigenvalue that is 1 up to rounding cannot flip the answer.
     """
-    moduli = [abs(lam) for lam in eigs]
-    if all(r < 1.0 - UNIT_CIRCLE_TOL for r in moduli):
+    r1, r2 = abs(eigs[0]), abs(eigs[1])
+    if r1 < 1.0 - UNIT_CIRCLE_TOL and r2 < 1.0 - UNIT_CIRCLE_TOL:
         return FixedPointType.ATTRACTING
-    if all(r > 1.0 + UNIT_CIRCLE_TOL for r in moduli):
+    if r1 > 1.0 + UNIT_CIRCLE_TOL and r2 > 1.0 + UNIT_CIRCLE_TOL:
         return FixedPointType.REPELLING
     return FixedPointType.SADDLE
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Linearization data at one fixed point."""
+    """Linearization data at one fixed point.
 
-    jacobian: np.ndarray
+    jacobian_entries holds the Jacobian row by row as four Python floats
+    (j00, j01, j10, j11); typing a fixed point needs no numpy.  The
+    jacobian property imports numpy and builds the same 2x2 array from
+    those entries each time it is read.
+    """
+
+    jacobian_entries: tuple[float, float, float, float]
     eigenvalues: tuple[complex, complex]
     g_value: float
     f_value: float
     type: FixedPointType
+
+    @property
+    def jacobian(self) -> np.ndarray:
+        return _matrix(*self.jacobian_entries)
 
 
 def _attracting_by_inequalities(g: float, sqrt_f: float) -> bool:
@@ -213,33 +272,44 @@ def classify_fixed_point(
 ) -> StabilityReport:
     """Type the fixed point z of the map at p from its linearization.
 
-    Raises NotAFixedPoint when one map step moves z by more than tol in the
-    max norm, and ValueError unless tol > 0.  For d1 = 0 the closed-form
-    eigenvalues and the analytic attracting/repelling inequality systems are
-    evaluated as well and must agree with the modulus computation away from
-    the unit-circle band.
+    Raises ValueError unless tol > 0, and NotAFixedPoint unless one map
+    step moves z by at most tol times the larger of the two equations'
+    sums of absolute terms,
+
+        |beta*y| + |alpha*x/(1+x)| + |d0*x| + |d1*x*x| + |x|   (larvae)
+        |alpha*x/(1+x)| + |mu*y| + |y|                          (adults),
+
+    a backward-error gate that holds a closed-form point to the rounding
+    its own step makes, whatever the scale of the rates.  For d1 = 0 the
+    closed-form eigenvalues and the analytic attracting/repelling
+    inequality systems are evaluated as well and must agree with the
+    modulus computation away from the unit-circle band.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    nx, ny = step(p, z)
-    residual = max(abs(nx - float(z[0])), abs(ny - float(z[1])))
-    scale = max(1.0, abs(float(z[0])), abs(float(z[1])))
+    x, y = float(z[0]), float(z[1])
+    nx, ny = step(p, (x, y))
+    residual = max(abs(nx - x), abs(ny - y))
+    emergence = abs(p.alpha * x / (1.0 + x))
+    scale = max(
+        abs(p.beta * y) + emergence + abs(p.d0 * x) + abs(p.d1 * x * x) + abs(x),
+        emergence + abs(p.mu * y) + abs(y),
+    )
     if residual > tol * scale:
         raise NotAFixedPoint(
             f"state ({z[0]}, {z[1]}) moves by {residual:.3e} in one step "
             f"(tolerance {tol * scale:.3e})"
         )
 
-    x = float(z[0])
-    jac = jacobian(p, z)
-    eigs = eigenvalues(jac)
+    entries = jacobian_entries(p.alpha, p.beta, p.mu, p.d0, p.d1, x)
+    eigs = _matrix_roots(*entries)
     g = g_value(p, x)
     f = f_value(p, x)
     fp_type = modulus_type(eigs)
 
     if p.d1 == 0.0 and fp_type is not FixedPointType.NON_HYPERBOLIC:
         sqrt_f = math.sqrt(f) if f >= 0.0 else math.nan
-        margin = max(abs(abs(lam) - 1.0) for lam in eigs)
+        margin = max(abs(abs(eigs[0]) - 1.0), abs(abs(eigs[1]) - 1.0))
         if margin > 1e-7:
             # away from the unit circle the inequality systems must agree
             attract = _attracting_by_inequalities(g, sqrt_f)
@@ -254,7 +324,7 @@ def classify_fixed_point(
                 )
 
     return StabilityReport(
-        jacobian=jac,
+        jacobian_entries=entries,
         eigenvalues=eigs,
         g_value=g,
         f_value=f,
@@ -324,20 +394,22 @@ def declared_type_table(p: Params) -> tuple[DeclaredType, ...]:
     Each entry carries the numeric audit; no exception is raised on
     disagreement so the table stays usable where the closed forms fail.
     """
-    label = classify(p)
-    if not label.in_theta:
+    if not preserves_quadrant(p):
         raise OutsideDeclaredRegion(
             "declared types require d1 = 0, alpha <= 1 - d0, mu <= 1, d0 < 1"
         )
 
-    if label.in_psi_star:
+    # inside the quadrant-preserving set psi is psi_star, phi1 is phi_star
+    # and omega_star is theta_star; d1 = 0 rules phi2 out
+    region = primary_region(p)
+    if region == "psi":
         return tuple(
             _audit(p, x, float(gamma(p, x)), FixedPointType.SADDLE,
                    "continuum sample; tangent eigenvalue is exactly 1")
             for x in DEFAULT_CONTINUUM_GRID
         )
 
-    if label.in_phi_star:
+    if region == "phi1":
         x2, y2 = phi1_point(p)
         return (
             _audit(p, 0.0, 0.0, FixedPointType.SADDLE, "origin above threshold"),

@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, file writers, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from mospop import (
     primary_region,
     validate,
 )
-from mospop.cli import MAX_SWEEP_CELLS, TOL_ENV, _parse_axis, fmt, main
+from mospop.cli import MAX_SWEEP_CELLS, TOL_ENV, _parse_axis, build_parser, fmt, main
 
 EX3 = ["--alpha", "6", "--beta", "0.5", "--mu", "0.4", "--d0", "0.6"]
 
@@ -163,6 +164,53 @@ class TestStability:
         for pt in d["points"]:
             assert pt["verification"]["fd_jacobian_rel_error"] <= 1e-5
             assert pt["verification"]["eigenvalue_cross_check"] <= 1e-9
+
+
+# the required arguments of each subcommand, so that one more option can be
+# parsed after them
+REQUIRED = {
+    "classify": EX3,
+    "fixed-points": EX3,
+    "stability": EX3,
+    "simulate": [*EX3, "--x0", "1", "--y0", "1"],
+    "simplex": ["--alpha", "1", "--beta", "0.5"],
+    "sweep": ["--axis1", "alpha:1:2:1", "--axis2", "beta:1:2:1",
+              "--quantity", "r0", "--output", "-"],
+    "verify": [],
+}
+
+
+def _float_options():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return [pytest.param(command, action.option_strings[0], action.nargs,
+                         action.dest, id=f"{command} {action.option_strings[0]}")
+            for command, sub in subs.choices.items()
+            for action in sub._actions if action.type is float]
+
+
+class TestNegativeNumbers:
+    @pytest.mark.parametrize("command,option,nargs,dest", _float_options())
+    def test_every_float_option_takes_an_exponent(self, command, option, nargs, dest):
+        values = ["-1e-3"] * (nargs or 1)
+        args = build_parser().parse_args([command, *REQUIRED[command], option, *values])
+        got = getattr(args, dest)
+        assert got == ([-1e-3] * nargs if nargs else -1e-3)
+
+    @pytest.mark.parametrize("text", ["-1e-3", "-1E+3", "-2.5e0", "-.5e-2", "-7.", "-3"])
+    def test_spellings(self, text):
+        args = build_parser().parse_args(["simulate", *REQUIRED["simulate"], "--x0", text])
+        assert args.x0 == float(text)
+
+    def test_option_names_still_parse_as_options(self, capsys):
+        code, _, err = run(capsys, ["simulate", *EX3, "--x0", "--y0", "1"])
+        assert code == 2 and "--x0: expected one argument" in err
+
+    def test_simulate_from_a_negative_start(self, capsys):
+        code, out, err = run(capsys, ["simulate", "--alpha", "0.5", "--beta", "0.5",
+                                      "--mu", "0.5", "--x0", "-1e-3", "--y0", "1"])
+        assert code == 0, err
+        assert out.startswith("verdict: converged")
 
 
 class TestSimulate:
@@ -535,8 +583,8 @@ class TestProcessLevel:
         assert payload["left_positive_quadrant"]
 
     # Each argument list runs cli.main in a fresh interpreter, which then
-    # must not hold numpy: only sweep, verify, stability and the --verify
-    # blocks that build arrays import it.
+    # must not hold numpy: only sweep, verify and the --verify blocks that
+    # build arrays import it.
     NUMPY_FREE = [
         ["classify", *EX3],
         ["classify", "--json", "--eps", "0.05", "--alpha", "2", "--beta", "1",
@@ -548,6 +596,10 @@ class TestProcessLevel:
         ["simulate", *EX3, "--x0", "50", "--y0", "80"],
         ["simulate", "--json", "--alpha", "0.5", "--beta", "0.5", "--mu", "0.5",
          "--x0", "1", "--y0", "1", "--iters", "500"],
+        ["stability", *EX3],
+        # the quadrant-preserving set, so the declared table is rendered too
+        ["stability", "--json", "--alpha", "0.9", "--beta", "2", "--mu", "0.95",
+         "--d0", "0.05"],
     ]
 
     @pytest.mark.parametrize("argv", NUMPY_FREE, ids=lambda a: " ".join(a[:3]))

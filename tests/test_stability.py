@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mospop.fixed_points import find_fixed_points
 from mospop.oracles import fd_jacobian, sample_region
@@ -13,6 +15,7 @@ from mospop.stability import (
     FixedPointType,
     NotAFixedPoint,
     OutsideDeclaredRegion,
+    characteristic_roots,
     classify_fixed_point,
     coarse_type,
     declared_type_table,
@@ -110,7 +113,113 @@ class TestEigenvalues:
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
+    def test_nested_sequences_give_the_same_bits_as_arrays(self):
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            m = rng.uniform(-5.0, 5.0, size=(2, 2)) * 10.0 ** rng.integers(-8, 9)
+            want = [(v.real.hex(), v.imag.hex()) for v in eigenvalues(m)]
+            for nested in (m.tolist(), tuple(map(tuple, m.tolist()))):
+                got = [(v.real.hex(), v.imag.hex()) for v in eigenvalues(nested)]
+                assert got == want
+
+    @pytest.mark.parametrize("m", [
+        [[1.0, 2.0], [3.0]],
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+        [[[1.0], [2.0]], [[3.0], [4.0]]],
+        np.zeros((2, 3)),
+        np.zeros((2, 2, 1)),
+        np.zeros(4),
+        "ab",
+        5.0,
+    ], ids=repr)
+    def test_any_other_shape_is_rejected(self, m):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            eigenvalues(m)
+
+    def test_determinant_overflow(self):
+        # 3e200 * 1e200 overflows the determinant; the off-diagonal 1s shift
+        # each eigenvalue by far less than an ulp
+        assert eigenvalues([[3e200, 1.0], [1.0, 1e200]]) == (3e200 + 0j, 1e200 + 0j)
+        assert eigenvalues([[0.0, 1e300], [-1e300, 0.0]]) == (1e300j, -1e300j)
+
+    def test_eigenvalues_beyond_the_double_range_are_inf(self):
+        assert eigenvalues([[1e308, 1e308], [1e308, 1e308]]) == (complex(math.inf), 0j)
+
+
+class TestCharacteristicRoots:
+    def test_discriminant_overflow(self):
+        # tr*tr overflows although both roots are representable
+        assert characteristic_roots(4e200, 3e200) == (4e200 + 0j, 0.75 + 0j)
+        # 4*det overflows: roots +-sqrt(-det)
+        lam1, lam2 = characteristic_roots(0.0, -1e308)
+        assert lam1.real == pytest.approx(1e154, rel=1e-15, abs=0.0)
+        assert lam2.real == pytest.approx(-1e154, rel=1e-15, abs=0.0)
+        # tr*tr - 4*det is inf - inf; the pair is complex, 1e154 +- sqrt(2e308)/2 i
+        lam1, lam2 = characteristic_roots(2e154, 1.5e308)
+        assert lam1 == pytest.approx(complex(1e154, 7.0710678118654755e153),
+                                     rel=1e-15, abs=0.0)
+        assert lam2 == lam1.conjugate()
+
+    def test_discriminant_underflow(self):
+        # tr*tr is subnormal and keeps only a few bits of 1e-320; the
+        # expected roots are the exact ones, rounded to double
+        lam1, lam2 = characteristic_roots(1e-160, 1e-321)
+        assert lam1 == 8.875548213350831e-161 + 0j
+        assert lam2 == 1.1244517866491689e-161 + 0j
+        lam1, lam2 = characteristic_roots(3e-162, 1e-323)
+        assert lam1 == complex(1.5e-162, 2.7624831070659836e-162)
+        assert lam2 == lam1.conjugate()
+
+    def test_scaled_path_is_exact_in_the_normal_range(self):
+        # a zero discriminant takes the scaled path; powers of two keep it exact
+        assert characteristic_roots(2.0, 1.0) == (1 + 0j, 1 + 0j)
+        assert characteristic_roots(0.0, 0.0) == (0j, 0j)
+        assert characteristic_roots(-6.0, 9.0) == (-3 + 0j, -3 + 0j)
+
+    def test_against_numpy_roots_across_scales(self):
+        rng = np.random.default_rng(53)
+        for _ in range(2000):
+            # roots up to 1e200 apart from zero, with a finite product
+            e1 = rng.uniform(-200.0, 200.0)
+            e2 = rng.uniform(max(-200.0, -300.0 - e1), min(200.0, 300.0 - e1))
+            lam = rng.uniform(-1.0, 1.0, size=2) * 10.0 ** np.array([e1, e2])
+            tr, det = float(lam[0] + lam[1]), float(lam[0] * lam[1])
+            ours = characteristic_roots(tr, det)
+            ref = sorted((complex(v) for v in np.roots([1.0, -tr, det])),
+                         key=lambda v: (-abs(v), -v.real, -v.imag))
+            for a, b in zip(ours, ref):
+                assert abs(a - b) <= 1e-6 * abs(ref[0])
+
+
+LOG_RATE = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
+
+
 class TestClassify:
+    @given(LOG_RATE, LOG_RATE, LOG_RATE, st.just(0.0) | LOG_RATE, LOG_RATE)
+    @example(4347.0, 8.5e6, 1.8e-10, 0.0, 0.024)
+    @settings(max_examples=300, deadline=None)
+    def test_every_closed_form_point_passes_the_gate(self, alpha, beta, mu, d0, d1):
+        p = validate(alpha, beta, mu, d0, d1)
+        for pt in find_fixed_points(p).points:
+            rep = classify_fixed_point(p, pt.location)
+            assert all(math.isfinite(abs(lam)) for lam in rep.eigenvalues)
+
+    def test_report_jacobian_is_the_array_of_its_entries(self):
+        rep = classify_fixed_point(EX3, (1.5, 9.0))
+        assert all(type(v) is float for v in rep.jacobian_entries)
+        m = rep.jacobian
+        assert isinstance(m, np.ndarray) and m.dtype == float
+        assert m.tolist() == jacobian(EX3, (1.5, 9.0)).tolist()
+        assert eigenvalues(m) == rep.eigenvalues
+
+    def test_gate_scales_with_the_terms_of_one_step(self):
+        # (2, 2) moves by 4.2 in one step; the larval terms sum to 8.2
+        with pytest.raises(NotAFixedPoint, match="tolerance 8.200e-09"):
+            classify_fixed_point(EX3, (2.0, 2.0))
+        with pytest.raises(NotAFixedPoint):
+            classify_fixed_point(EX3, (2.0, 2.0), tol=0.5)
+        classify_fixed_point(EX3, (2.0, 2.0), tol=0.52)
+
     def test_example1_origin_attracting(self):
         rep = classify_fixed_point(EX1, (0.0, 0.0))
         assert rep.type is FixedPointType.ATTRACTING
