@@ -10,8 +10,10 @@ Each workload that BENCHMARK.json names runs through perfbench/run.py
 --repeats times (default 3), with seeds --seed, --seed + 1, ... and the
 same seeds on every workload, each run for --seconds (default: the
 run_seconds of BENCHMARK.json).  The snapshot records, per workload and
-end-to-end metric, the minimum over the repeats next to every repeat's
-value, plus the correctness fields of each run, the seeds, the Python and
+end-to-end metric, the minimum and the maximum over the repeats next to
+every repeat's value and the direction BENCHMARK.json calls better (the
+best repeat is the minimum of a "lower" metric, the maximum of a "higher"
+one), plus the correctness fields of each run, the seeds, the Python and
 numpy versions the runs printed, and the commit of the checkout (with a
 flag for uncommitted changes).  Comparing two snapshots taken on the same
 machine gives a before/after pair.
@@ -48,6 +50,13 @@ def run_once(workload: str, seed: int, seconds: float, size: str) -> tuple[dict,
     return json.loads(lines[-1]), proc.stdout
 
 
+def summary(metric: dict, runs: list[dict]) -> dict:
+    """One end-to-end metric of BENCHMARK.json over the repeats."""
+    values = [r["metrics"][metric["name"]]["value"] for r in runs]
+    return {"unit": metric["unit"], "better": metric["better"],
+            "min": min(values), "max": max(values), "values": values}
+
+
 def snapshot(seconds: float, repeats: int, seed: int, size: str) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seeds = list(range(seed, seed + repeats))
@@ -63,15 +72,7 @@ def snapshot(seconds: float, repeats: int, seed: int, size: str) -> dict:
         workloads[wl] = {
             "runs": [{k: r[k] for k in ("correct", "attempted", "failed")}
                      for r in runs],
-            "metrics": {
-                m["name"]: {
-                    "unit": m["unit"],
-                    "better": m["better"],
-                    "min": min(r["metrics"][m["name"]]["value"] for r in runs),
-                    "values": [r["metrics"][m["name"]]["value"] for r in runs],
-                }
-                for m in spec["end_to_end"]
-            },
+            "metrics": {m["name"]: summary(m, runs) for m in spec["end_to_end"]},
         }
     return {
         "commit": git("rev-parse", "HEAD"),
