@@ -281,10 +281,11 @@ def _stability_payload(p: Params, z, tol: float, want_verify: bool) -> dict:
         "type": report.type.value,
     }
     if want_verify:
+        jac = report.jacobian
         payload["verification"] = {
-            "fd_jacobian_rel_error": _jnum(_fd_jacobian_error(p, z, report.jacobian)),
+            "fd_jacobian_rel_error": _jnum(_fd_jacobian_error(p, z, jac)),
             "eigenvalue_cross_check": _jnum(
-                _lapack_eigenvalue_gap(report.jacobian, report.eigenvalues)),
+                _lapack_eigenvalue_gap(jac, report.eigenvalues)),
         }
     return payload
 

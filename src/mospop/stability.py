@@ -54,6 +54,7 @@ __all__ = [
     "StabilityReport",
     "UNIT_CIRCLE_TOL",
     "characteristic_roots",
+    "check_fixed_point",
     "classify_fixed_point",
     "coarse_type",
     "declared_type_table",
@@ -265,28 +266,21 @@ def _repelling_by_inequalities(g: float, sqrt_f: float) -> bool:
     return (g < 0.0 and sqrt_f < -g) or (g > 4.0 and sqrt_f < g - 4.0)
 
 
-def classify_fixed_point(
-    p: Params,
-    z: Sequence[float],
-    tol: float = 1e-9,
-) -> StabilityReport:
-    """Type the fixed point z of the map at p from its linearization.
+def check_fixed_point(
+    p: Params, z: Sequence[float], tol: float = 1e-9
+) -> tuple[float, float]:
+    """Return z as floats, or raise NotAFixedPoint unless the map at p fixes it.
 
-    Raises ValueError unless tol > 0, and NotAFixedPoint unless one map
-    step moves z by at most tol times the larger of the two equations'
-    sums of absolute terms,
+    z passes when one map step moves it by at most tol times the larger of
+    the two equations' sums of absolute terms,
 
         |beta*y| + |alpha*x/(1+x)| + |d0*x| + |d1*x*x| + |x|   (larvae)
         |alpha*x/(1+x)| + |mu*y| + |y|                          (adults),
 
     a backward-error gate that holds a closed-form point to the rounding
-    its own step makes, whatever the scale of the rates.  For d1 = 0 the
-    closed-form eigenvalues and the analytic attracting/repelling
-    inequality systems are evaluated as well and must agree with the
-    modulus computation away from the unit-circle band.
+    its own step makes, whatever the scale of the rates.  A state whose
+    step or sums overflow fails: an infinite tolerance would pass anything.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     x, y = float(z[0]), float(z[1])
     nx, ny = step(p, (x, y))
     residual = max(abs(nx - x), abs(ny - y))
@@ -295,11 +289,31 @@ def classify_fixed_point(
         abs(p.beta * y) + emergence + abs(p.d0 * x) + abs(p.d1 * x * x) + abs(x),
         emergence + abs(p.mu * y) + abs(y),
     )
-    if residual > tol * scale:
+    if not (math.isfinite(residual) and math.isfinite(scale)
+            and residual <= tol * scale):
         raise NotAFixedPoint(
             f"state ({z[0]}, {z[1]}) moves by {residual:.3e} in one step "
             f"(tolerance {tol * scale:.3e})"
         )
+    return x, y
+
+
+def classify_fixed_point(
+    p: Params,
+    z: Sequence[float],
+    tol: float = 1e-9,
+) -> StabilityReport:
+    """Type the fixed point z of the map at p from its linearization.
+
+    Raises ValueError unless tol > 0, and NotAFixedPoint unless z passes
+    check_fixed_point.  For d1 = 0 the closed-form eigenvalues and the
+    analytic attracting/repelling inequality systems are evaluated as
+    well and must agree with the modulus computation away from the
+    unit-circle band.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    x, _ = check_fixed_point(p, z, tol)
 
     entries = jacobian_entries(p.alpha, p.beta, p.mu, p.d0, p.d1, x)
     eigs = _matrix_roots(*entries)

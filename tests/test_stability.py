@@ -16,6 +16,7 @@ from mospop.stability import (
     NotAFixedPoint,
     OutsideDeclaredRegion,
     characteristic_roots,
+    check_fixed_point,
     classify_fixed_point,
     coarse_type,
     declared_type_table,
@@ -23,6 +24,7 @@ from mospop.stability import (
     f_value,
     g_value,
     jacobian,
+    jacobian_entries,
     modulus_type,
 )
 from mospop.dynamics import step
@@ -203,6 +205,27 @@ class TestClassify:
         for pt in find_fixed_points(p).points:
             rep = classify_fixed_point(p, pt.location)
             assert all(math.isfinite(abs(lam)) for lam in rep.eigenvalues)
+
+    @given(LOG_RATE, LOG_RATE, LOG_RATE, st.just(0.0) | LOG_RATE)
+    @settings(max_examples=300, deadline=None)
+    def test_every_closed_form_point_passes_the_gate_at_d1_zero(self, alpha, beta, mu, d0):
+        # the gate and the roots only: classify_fixed_point's d1 = 0
+        # cross-check can still trip on a close eigenvalue pair
+        p = validate(alpha, beta, mu, d0, 0.0)
+        for pt in find_fixed_points(p).points:
+            x, _ = check_fixed_point(p, pt.location)
+            j00, j01, j10, j11 = jacobian_entries(alpha, beta, mu, d0, 0.0, x)
+            lams = eigenvalues([[j00, j01], [j10, j11]])
+            assert all(math.isfinite(abs(lam)) for lam in lams)
+
+    @pytest.mark.parametrize("rates, z", [
+        ((0.5, 0.5, 0.5, 0.0, 1.0), (1e200, 1.0)),      # d1*x*x overflows
+        ((0.5, 1e12, 0.5, 0.0, 0.0), (1.0, 1e297)),     # beta*y overflows
+        ((0.5, 0.5, 0.5, 0.9, 0.0), (1e308, 0.0)),      # finite step, sums overflow
+    ])
+    def test_gate_rejects_states_whose_terms_overflow(self, rates, z):
+        with pytest.raises(NotAFixedPoint):
+            classify_fixed_point(validate(*rates), z)
 
     def test_report_jacobian_is_the_array_of_its_entries(self):
         rep = classify_fixed_point(EX3, (1.5, 9.0))

@@ -2,20 +2,18 @@
 
 Run from the root of a checkout:
 
-    python3 tools/bench_snapshot.py --n 7
+    python3 tools/bench_snapshot.py --output BENCH_7.json
     python3 tools/bench_snapshot.py --size tiny --seconds 1 --repeats 1 \
         --output /tmp/bench.json
 
 Each workload that BENCHMARK.json names runs through perfbench/run.py
---repeats times (default 3), with seeds --seed, --seed + 1, ... and the
-same seeds on every workload, each run for --seconds (default: the
-run_seconds of BENCHMARK.json).  The snapshot records, per workload and
-end-to-end metric, the minimum and the maximum over the repeats next to
-every repeat's value and the direction BENCHMARK.json calls better (the
-best repeat is the minimum of a "lower" metric, the maximum of a "higher"
-one), plus the correctness fields of each run, the seeds, the Python and
-numpy versions the runs printed, and the commit of the checkout (with a
-flag for uncommitted changes).  Comparing two snapshots taken on the same
+--repeats times (default 3), with seeds 1, 2, ... on every workload, each
+run for --seconds (default: the run_seconds of BENCHMARK.json).  The
+snapshot records, per workload and end-to-end metric, every repeat's
+value, their minimum and the direction BENCHMARK.json calls better, plus
+the correctness fields of each run, the seeds, the Python and numpy
+versions the runs printed, and the commit of the checkout (with a flag
+for uncommitted changes).  Comparing two snapshots taken on the same
 machine gives a before/after pair.
 """
 
@@ -54,12 +52,12 @@ def summary(metric: dict, runs: list[dict]) -> dict:
     """One end-to-end metric of BENCHMARK.json over the repeats."""
     values = [r["metrics"][metric["name"]]["value"] for r in runs]
     return {"unit": metric["unit"], "better": metric["better"],
-            "min": min(values), "max": max(values), "values": values}
+            "min": min(values), "values": values}
 
 
-def snapshot(seconds: float, repeats: int, seed: int, size: str) -> dict:
+def snapshot(seconds: float, repeats: int, size: str) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seeds = list(range(seed, seed + repeats))
+    seeds = list(range(1, repeats + 1))
     workloads, versions = {}, None
     for wl in (w["name"] for w in spec["workloads"]):
         runs = []
@@ -88,13 +86,11 @@ def snapshot(seconds: float, repeats: int, seed: int, size: str) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    out = ap.add_mutually_exclusive_group(required=True)
-    out.add_argument("--n", type=int, help="write BENCH_<n>.json at the root")
-    out.add_argument("--output", type=Path, help="write the snapshot to this path")
+    ap.add_argument("--output", type=Path, required=True,
+                    help="write the snapshot to this path")
     ap.add_argument("--seconds", type=float, default=None,
                     help="seconds per run (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--repeats", type=int, default=3, help="runs per workload")
-    ap.add_argument("--seed", type=int, default=1, help="seed of the first repeat")
     ap.add_argument("--size", choices=("full", "tiny"), default="full")
     args = ap.parse_args(argv)
     if args.repeats < 1:
@@ -103,10 +99,9 @@ def main(argv=None) -> int:
     if seconds is None:
         seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
-    data = snapshot(seconds, args.repeats, args.seed, args.size)
-    path = args.output if args.output is not None else ROOT / f"BENCH_{args.n}.json"
-    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {path}", file=sys.stderr)
+    data = snapshot(seconds, args.repeats, args.size)
+    args.output.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
 
