@@ -7,7 +7,7 @@ alpha/(1+x), larvae die at rate d0 + d1*x, adults die at rate mu.
 Modules:
     params        admissible parameters and region classification
     fixed_points  closed-form equilibrium enumeration
-    stability     linearization and eigenvalue typing
+    stability     linearization, eigenvalue typing and the quadratic solver
     dynamics      trajectory iteration with limit detection
     simplex       the matched-rates case restricted to [0, 1]
     oracles       independent numerical cross-checks
@@ -24,6 +24,7 @@ from .dynamics import (
     step,
 )
 from .fixed_points import (
+    ClosedFormOverflow,
     FixedPointKind,
     FixedPointReport,
     FixedPointSet,
@@ -33,11 +34,9 @@ from .fixed_points import (
     gamma,
 )
 from .oracles import (
-    DegenerateAllZero,
     fd_derivative,
     fd_jacobian,
     grid_period_scan,
-    quad_roots,
     sample_invariance_pairs,
     sample_outside_pairs,
     sample_region,
@@ -77,6 +76,7 @@ from .simplex import (
 )
 from .stability import (
     DeclaredType,
+    DegenerateAllZero,
     FixedPointType,
     NotAFixedPoint,
     OutsideDeclaredRegion,
@@ -85,11 +85,13 @@ from .stability import (
     declared_type_table,
     eigenvalues,
     jacobian,
+    quad_roots,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "ClosedFormOverflow",
     "ConditionViolation",
     "DeclaredType",
     "DegenerateAllZero",

@@ -36,7 +36,6 @@ from .oracles import (
     fd_derivative,
     fd_jacobian,
     grid_period_scan,
-    quad_roots,
     sample_invariance_pairs,
     sample_region,
 )
@@ -71,6 +70,7 @@ from .stability import (
     eigenvalues,
     jacobian,
     jacobian_entries,
+    quad_roots,
     trace_det,
 )
 
@@ -346,8 +346,9 @@ def cmd_stability(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def render_trajectory_svg(samples, width: int = 720, height: int = 460) -> str:
+def render_trajectory_svg(samples) -> str:
     """Minimal two-polyline SVG of the sampled trajectory, with axis ticks."""
+    width, height = 720, 460
     ml, mr, mt, mb = 64, 18, 42, 50
     ns = [float(n) for n, _ in samples]
     xs = [s.x for _, s in samples]
@@ -381,45 +382,31 @@ def render_trajectory_svg(samples, width: int = 720, height: int = 460) -> str:
     for i in range(6):
         n = n_hi * i / 5.0
         x = px(n)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{height - mb}" x2="{x:.2f}" '
-            f'y2="{height - mb + 6}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{height - mb + 22}" font-size="12" '
-            f'text-anchor="middle">{n:.6g}</text>'
-        )
         v = v_lo + (v_hi - v_lo) * i / 5.0
         y = py(v)
-        parts.append(
+        parts += [
+            f'<line x1="{x:.2f}" y1="{height - mb}" x2="{x:.2f}" '
+            f'y2="{height - mb + 6}" stroke="black"/>',
+            f'<text x="{x:.2f}" y="{height - mb + 22}" font-size="12" '
+            f'text-anchor="middle">{n:.6g}</text>',
             f'<line x1="{ml - 6}" y1="{y:.2f}" x2="{ml}" y2="{y:.2f}" '
-            f'stroke="black"/>'
-        )
-        parts.append(
+            f'stroke="black"/>',
             f'<text x="{ml - 10}" y="{y + 4:.2f}" font-size="12" '
-            f'text-anchor="end">{v:.6g}</text>'
-        )
-    parts.append(
+            f'text-anchor="end">{v:.6g}</text>',
+        ]
+    parts += [
         f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 12}" '
-        f'font-size="13" text-anchor="middle">iteration</text>'
-    )
-    parts.append(
+        f'font-size="13" text-anchor="middle">iteration</text>',
         f'<polyline fill="none" stroke="#205494" stroke-width="1.5" '
-        f'points="{pts(xs)}"/>'
-    )
-    parts.append(
+        f'points="{pts(xs)}"/>',
         f'<polyline fill="none" stroke="#b0413e" stroke-width="1.5" '
-        f'points="{pts(ys)}"/>'
-    )
-    parts.append(
+        f'points="{pts(ys)}"/>',
         f'<text x="{width - mr - 120}" y="{mt - 16}" font-size="13" '
-        f'fill="#205494">x (larvae)</text>'
-    )
-    parts.append(
+        f'fill="#205494">x (larvae)</text>',
         f'<text x="{width - mr - 50}" y="{mt - 16}" font-size="13" '
-        f'fill="#b0413e">y (adults)</text>'
-    )
-    parts.append("</svg>")
+        f'fill="#b0413e">y (adults)</text>',
+        "</svg>",
+    ]
     return "\n".join(parts) + "\n"
 
 

@@ -103,14 +103,12 @@ def _fixed_point_targets(p: Params):
 
 
 def _distance_to_target(x: float, y: float, points, curve) -> tuple[float, State]:
+    if curve is not None:
+        # every (x, gamma(x)) with x > -1 is fixed, and orbit stops at x <= -1
+        gy = curve(x)
+        return abs(y - gy), State(x, gy)
     best = math.inf
     best_pt = State(0.0, 0.0)
-    if curve is not None:
-        if x >= 0.0:
-            gy = curve(x)
-            d = abs(y - gy)
-            return d, State(x, gy)
-        return math.inf, best_pt
     for pt in points:
         d = max(abs(x - pt[0]), abs(y - pt[1]))
         if d < best:
@@ -143,7 +141,8 @@ def orbit(
                   or coordinates stopped being finite.
 
     The fixed points are looked up only at the first step that moves less
-    than tol, so orbits that never get there never compute them.
+    than tol, so orbits that never get there never compute them; that is
+    also where a phi1 point beyond the double range raises ClosedFormOverflow.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -260,12 +259,8 @@ def orbit(
     )
 
 
-def local_limit(p: Params, z0: Optional[Sequence[float]] = None) -> State:
+def local_limit(p: Params) -> State:
     """Predicted local limit of orbits in the quadrant-preserving regime.
-
-    z0, when given, is the intended starting state; the prediction only
-    holds for states in a neighborhood of the limit, and z0 takes no part
-    in the formula beyond a nonnegativity check.
 
     Requires the quadrant-preservation inequalities (d1 = 0,
     alpha <= 1 - d0, mu <= 1, d0 < 1); otherwise ConditionViolation.
@@ -287,8 +282,6 @@ def local_limit(p: Params, z0: Optional[Sequence[float]] = None) -> State:
             "local limit prediction requires d1 = 0, alpha <= 1 - d0, "
             "mu <= 1 and d0 < 1"
         )
-    if z0 is not None and (z0[0] < 0.0 or z0[1] < 0.0):
-        raise ValueError(f"z0 must be nonnegative, got {tuple(z0)}")
     if p.beta <= birth_threshold(p):
         return State(0.0, 0.0)
     if p.d0 == 0.0:

@@ -27,6 +27,7 @@ from .params import Params, primary_region
 
 __all__ = [
     "DEFAULT_CONTINUUM_GRID",
+    "ClosedFormOverflow",
     "FixedPointKind",
     "FixedPointReport",
     "FixedPointSet",
@@ -59,11 +60,23 @@ def larval_quadratic(p: Params) -> tuple[float, float, float]:
     return p.d1, p.d0 + p.d1, p.d0 + p.alpha * (1.0 - p.beta / p.mu)
 
 
+class ClosedFormOverflow(ValueError):
+    """A closed-form fixed point overflows the double range when evaluated."""
+
+
 def phi1_point(p: Params) -> State:
     """The positive fixed point of the d1 = 0 branch (phi1):
-    x = alpha*(beta - mu)/(mu*d0) - 1, y = gamma(x)."""
+    x = alpha*(beta - mu)/(mu*d0) - 1, y = gamma(x).
+
+    Raises ClosedFormOverflow, naming the closed form, when x or y overflows.
+    """
     x = p.alpha * (p.beta - p.mu) / (p.mu * p.d0) - 1.0
-    return State(x, float(gamma(p, x)))
+    y = float(gamma(p, x))  # nan when x is inf or nan
+    if not y < math.inf:
+        form = ("x = alpha*(beta - mu)/(mu*d0) - 1" if not x < math.inf
+                else f"y = alpha*x/(mu*(1 + x)) at x = {x}")
+        raise ClosedFormOverflow(f"phi1 fixed point {form} overflows")
+    return State(x, y)
 
 
 def discriminant(p: Params) -> float:

@@ -1,7 +1,7 @@
 """Independent numerical cross-checks used by tests and the verify command.
 
-Everything here is deliberately dumb and generic: a cancellation-safe
-quadratic solver, centered finite differences, and a brute-force periodic
+Everything here is deliberately dumb and generic: numpy's companion-matrix
+polynomial roots, centered finite differences, and a brute-force periodic
 point scan.  None of it knows the closed forms used by the main modules,
 which is what makes the cross-checks meaningful.
 """
@@ -15,7 +15,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "DegenerateAllZero",
     "fd_derivative",
     "fd_jacobian",
     "grid_period_scan",
@@ -26,75 +25,20 @@ __all__ = [
 ]
 
 
-class DegenerateAllZero(ValueError):
-    """All three quadratic coefficients vanish; every number is a root."""
-
-
 def quad_roots(a: float, b: float, c: float) -> tuple[complex, ...]:
-    """Roots of a*x**2 + b*x + c with a cancellation-safe evaluation.
+    """Roots of a*x**2 + b*x + c as numpy's companion-matrix eigenvalues.
 
-    Returns a pair for a true quadratic (real roots as complex with zero
-    imaginary part, ordered by descending real part then descending
-    imaginary part), a single root for the linear fallback a = 0, and
-    raises DegenerateAllZero when a = b = c = 0.
-
-    The discriminant is formed after exact power-of-two scaling, so it
-    neither overflows nor underflows for any finite coefficients.  A root
-    whose magnitude lies beyond the double range is left out, as the
-    linear fallback leaves out the root that escapes to infinity as a -> 0;
-    for a complex pair both roots go together.
+    A deliberately plain reference for the production solver
+    stability.quad_roots, sharing no code with it.  np.roots drops leading
+    zero coefficients, so a = 0 gives the single linear root, and a
+    constant, the zero polynomial included, gives none.  Sorted by
+    descending real part, then descending imaginary part.  It does no
+    scaling of its own, so trust it at moderate scales only.
     """
-    if a == 0.0:
-        if b == 0.0:
-            if c == 0.0:
-                raise DegenerateAllZero("0 == 0 holds for every x")
-            return ()
-        r = -c / b
-        return (complex(r),) if math.isfinite(r) else ()
-    # Substitute x = 2**k * y and divide by 2**(ea + 2k): the scaled
-    # quadratic A*y**2 + B*y + C has A, |C| in [0.5, 2) and B = mb * 2**eb2.
-    ma, ea = math.frexp(a)
-    mb, eb = math.frexp(b)
-    mc, ec = math.frexp(c)
-    if c != 0.0:
-        k = (ec - ea) // 2
-    elif b != 0.0:
-        k = eb - ea
-    else:
-        k = 0
-    A = ma
-    C = math.ldexp(mc, ec - ea - 2 * k)
-    eb2 = eb - ea - k
-    # each root as (y, shift): x = y * 2**shift
-    if mb != 0.0 and eb2 > 500:
-        # 4*A*C is below half an ulp of B*B, so sqrt(disc) rounds to |B|
-        # and the roots are -B/A and -C/B exactly to rounding
-        parts = [(complex(-mb / A), k + eb2), (complex(-C / mb), k - eb2)]
-    else:
-        B = math.ldexp(mb, eb2)
-        disc = B * B - 4.0 * A * C
-        if disc >= 0.0:
-            s = math.sqrt(disc)
-            q = -0.5 * (B + s) if B >= 0.0 else -0.5 * (B - s)
-            # q is the larger-magnitude half; the second root via C/q avoids
-            # subtracting nearly equal quantities when |4AC| << B*B.
-            if q == 0.0:
-                parts = [(0j, 0), (0j, 0)]
-            else:
-                parts = [(complex(q / A), k), (complex(C / q), k)]
-        else:
-            re = -B / (2.0 * A)
-            im = math.sqrt(-disc) / (2.0 * A)
-            parts = [(complex(re, im), k), (complex(re, -im), k)]
-    roots = []
-    for y, shift in parts:
-        try:
-            roots.append(complex(math.ldexp(y.real, shift), math.ldexp(y.imag, shift)))
-        except OverflowError:
-            if y.imag != 0.0:
-                return ()
-    roots.sort(key=lambda r: (-r.real, -r.imag))
-    return tuple(roots)
+    import numpy as np
+
+    return tuple(sorted((complex(r) for r in np.roots([a, b, c])),
+                        key=lambda r: (-r.real, -r.imag)))
 
 
 def fd_jacobian(

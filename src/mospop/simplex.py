@@ -43,8 +43,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .oracles import quad_roots
 from .params import SimplexClass, in_invariance_region, shape_class
+from .stability import quad_roots
 
 __all__ = [
     "InvarianceCheck",
@@ -71,6 +71,7 @@ __all__ = [
 ]
 
 BOUNDARY_BAND = 1e-12
+PERIOD2_TOL = 1e-10
 
 
 class OutsideInvariantRegion(ValueError):
@@ -241,12 +242,12 @@ def _containment_holds(sp: SimplexParams) -> bool:
     )
 
 
-def period2_set(sp: SimplexParams, tol: float = 1e-10) -> Period2Set:
+def period2_set(sp: SimplexParams) -> Period2Set:
     """Solve for genuine 2-cycles of U inside [0, 1].
 
     Factoring fixed points out of U(U(x)) = x leaves a quadratic (linear
     when beta = 1) whose real roots are screened to [0, 1], checked for
-    U(U(x)) = x within tol, and stripped of period-1 impostors.
+    U(U(x)) = x within PERIOD2_TOL, and stripped of period-1 impostors.
     """
     contain = _containment_holds(sp)
     if sp.alpha == 2.0 and sp.beta == 1.0:
@@ -268,9 +269,9 @@ def period2_set(sp: SimplexParams, tol: float = 1e-10) -> Period2Set:
         x = r.real
         if not (0.0 <= x <= 1.0):
             continue
-        if abs(u_map(sp, u_map(sp, x)) - x) > tol:
+        if abs(u_map(sp, u_map(sp, x)) - x) > PERIOD2_TOL:
             continue
-        if abs(u_map(sp, x) - x) <= tol:
+        if abs(u_map(sp, x) - x) <= PERIOD2_TOL:
             continue  # period-1 impostor
         kept.append(x)
     kept.sort()

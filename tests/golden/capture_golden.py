@@ -233,11 +233,27 @@ def benchmark_argvs() -> list[tuple[str, list[str]]]:
     return out
 
 
+def appended() -> list[tuple[str, list[str]]]:
+    """Invocations added after the first capture; kept last, so that adding
+    them only extends the file and every earlier entry keeps its bytes."""
+    phi1_beyond = ["--alpha", "1e300", "--beta", "2", "--mu", "1", "--d0", "1e-10"]
+    return [
+        ("simulate psi curve left of the origin --json",
+         ["simulate", "--alpha", "0.4242591665637453", "--beta",
+          "0.8241239267624378", "--mu", "0.8241239267624378",
+          "--x0", "-0.13368015321381987", "--y0", "0", "--json"]),
+        ("exit2 fixed-points phi1 overflow", ["fixed-points", *phi1_beyond]),
+        ("exit2 stability phi1 overflow", ["stability", *phi1_beyond]),
+        ("exit2 simulate phi1 overflow", ["simulate", *phi1_beyond,
+                                          "--x0", "0", "--y0", "0"]),
+    ]
+
+
 def capture() -> list[dict]:
     import numpy as np
 
     entries = []
-    for name, argv in curated() + benchmark_argvs():
+    for name, argv in curated() + benchmark_argvs() + appended():
         entry = {"name": name, "argv": argv, **run_cli(argv)}
         if numpy_dependent(argv):
             entry["numpy"] = np.__version__

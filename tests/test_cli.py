@@ -108,6 +108,20 @@ class TestFixedPoints:
         assert code == 2
         assert "error" in err
 
+    # every command that needs the phi1 point reports the overflowing
+    # closed form, simulate once its orbit from the origin asks for it
+    @pytest.mark.parametrize("argv", [
+        ["fixed-points"],
+        ["stability"],
+        ["simulate", "--x0", "0", "--y0", "0"],
+    ])
+    def test_phi1_root_beyond_the_double_range_exit_2(self, capsys, argv):
+        rates = ["--alpha", "1e300", "--beta", "2", "--mu", "1", "--d0", "1e-10"]
+        code, out, err = run(capsys, [argv[0], *rates, *argv[1:]])
+        assert (code, out) == (2, "")
+        assert err == ("error: phi1 fixed point "
+                       "x = alpha*(beta - mu)/(mu*d0) - 1 overflows\n")
+
 
 class TestStability:
     def test_all_fixed_points_default(self, capsys):

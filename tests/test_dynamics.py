@@ -327,6 +327,18 @@ class TestOrbit:
         assert res.verdict is OrbitVerdict.CONVERGED
         assert abs(res.limit.y - gamma(p, res.limit.x)) <= 1e-8
 
+    def test_curve_point_left_of_the_origin_is_a_limit(self):
+        # every (x, gamma(x)) with -1 < x < 0 is fixed too; such a limit
+        # used to be out of reach, so this orbit ran out its budget
+        p = validate(0.4242591665637453, 0.8241239267624378,
+                     0.8241239267624378, 0.0, 0.0)
+        res = orbit(p, (-0.13368015321381987, 0.0), max_iter=1000)
+        assert res.verdict is OrbitVerdict.CONVERGED
+        assert res.iterations_used == 18
+        assert res.left_positive_quadrant
+        assert res.limit.x < 0.0
+        assert abs(res.limit.y - gamma(p, res.limit.x)) <= 1e-8
+
 
 class TestLocalLimit:
     def test_subthreshold_prediction_is_extinction(self):
@@ -355,9 +367,3 @@ class TestLocalLimit:
             local_limit(EX1)  # alpha too large
         with pytest.raises(ConditionViolation):
             local_limit(validate(0.4, 0.3, 1.5, 0.2, 0.0))  # mu too large
-
-    def test_anchor_state_must_be_in_the_quadrant(self):
-        p = validate(0.4, 0.3, 0.5, 0.2, 0.0)
-        assert local_limit(p, (0.2, 0.4)) == local_limit(p)
-        with pytest.raises(ValueError):
-            local_limit(p, (-0.5, 0.4))

@@ -8,6 +8,7 @@ import pytest
 from mospop.dynamics import step
 from mospop.fixed_points import (
     DEFAULT_CONTINUUM_GRID,
+    ClosedFormOverflow,
     FixedPointKind,
     FormulaTag,
     discriminant,
@@ -104,6 +105,14 @@ class TestFindFixedPoints:
         assert math.isclose(pos.location.x, 1e-200, rel_tol=1e-15, abs_tol=0.0)
         assert math.isclose(pos.location.y, 1e-200, rel_tol=1e-15, abs_tol=0.0)
         assert pos.residual <= 1e-215
+
+    def test_phi1_closed_form_beyond_the_double_range(self):
+        # x = 1e300*(2 - 1)/1e-10 - 1 overflows
+        with pytest.raises(ClosedFormOverflow, match=r"x = alpha\*\(beta - mu\)"):
+            find_fixed_points(validate(1e300, 2.0, 1.0, 1e-10, 0.0))
+        # x = 1e300 fits, but alpha*x in y = gamma(x) overflows
+        with pytest.raises(ClosedFormOverflow, match=r"y = alpha\*x/\(mu\*\(1 \+ x\)\)"):
+            find_fixed_points(validate(1e300, 2.0, 1.0, 1.0, 0.0))
 
     def test_matched_rates_continuum(self):
         fps = find_fixed_points(PSI)

@@ -1,27 +1,34 @@
-"""Independent oracles: quadratic roots, finite differences, period scans, samplers.
+"""Quadratic roots against the oracle, finite differences, period scans, samplers.
 
-These are checked hard because everything else leans on them.
+The oracles are checked hard because everything else leans on them.
+TestQuadRoots checks the production solver stability.quad_roots directly;
+TestKernelAgainstOracle compares it with the oracle's np.roots reference,
+and TestOracleIndependence keeps the production modules from importing
+the oracles at all.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mospop
+from mospop import oracles
 from mospop.oracles import (
-    DegenerateAllZero,
     fd_derivative,
     fd_jacobian,
     grid_period_scan,
-    quad_roots,
     sample_invariance_pairs,
     sample_outside_pairs,
     sample_region,
 )
 from mospop.params import classify
 from mospop.simplex import SimplexParams, fixed_point_u, u_map
+from mospop.stability import DegenerateAllZero, quad_roots
 
 
 def residual_scale(a, b, c, r):
@@ -110,6 +117,43 @@ class TestQuadRoots:
         for r in quad_roots(a, b, c):
             res = abs((a * r + b) * r + c)
             assert res <= 1e-10 * residual_scale(a, b, c, r)
+
+
+class TestKernelAgainstOracle:
+    def test_agrees_with_numpy_roots(self):
+        rng = np.random.default_rng(20261018)
+        n = 10_000
+        coef = rng.uniform(-1, 1, (3, n)) * 10.0 ** rng.integers(-6, 7, (3, n))
+        for a, b, c in coef.T.tolist():
+            ours = quad_roots(a, b, c)
+            ref = oracles.quad_roots(a, b, c)
+            assert len(ours) == len(ref) == 2
+            scale = max(abs(r) for r in ref)
+            for got, want in zip(ours, ref):
+                assert abs(got - want) <= 1e-6 * scale
+
+    def test_oracle_handles_leading_zeros_and_complex_pairs(self):
+        assert oracles.quad_roots(0.0, 2.0, -4.0) == (2.0,)
+        assert oracles.quad_roots(0.0, 0.0, 5.0) == ()
+        assert oracles.quad_roots(1.0, 0.0, 1.0) == (1j, -1j)
+
+
+class TestOracleIndependence:
+    def test_only_the_cli_and_the_package_import_the_oracles(self):
+        src = Path(mospop.__file__).parent
+        importers = set()
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                    names += [f"{node.module or ''}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                if any(n.split(".")[-1] == "oracles" for n in names):
+                    importers.add(path.stem)
+        assert importers == {"cli", "__init__"}
 
 
 class TestFiniteDifferences:
