@@ -63,6 +63,7 @@ from .simplex import (
     SimplexAnalysis,
     SimplexParams,
     UOrbitKind,
+    UOrbitNotConverged,
     UPointType,
     analyze,
     fixed_point_u,
@@ -117,6 +118,7 @@ __all__ = [
     "StabilityReport",
     "State",
     "UOrbitKind",
+    "UOrbitNotConverged",
     "UPointType",
     "analyze",
     "basic_offspring_number",

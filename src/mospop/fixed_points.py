@@ -69,8 +69,16 @@ def phi1_point(p: Params) -> State:
     x = alpha*(beta - mu)/(mu*d0) - 1, y = gamma(x).
 
     Raises ClosedFormOverflow, naming the closed form, when x or y overflows.
+    x comes from the mantissas of alpha, beta - mu, mu and d0, exponents
+    summed apart: the plain expression's bits wherever it stays normal, and
+    no spurious 0, inf or ZeroDivisionError where a product leaves the range.
     """
-    x = p.alpha * (p.beta - p.mu) / (p.mu * p.d0) - 1.0
+    (ma, ea), (mb, eb), (mm, em), (md, ed) = (
+        math.frexp(v) for v in (p.alpha, p.beta - p.mu, p.mu, p.d0))
+    try:
+        x = math.ldexp(ma * mb / (mm * md), ea + eb - em - ed) - 1.0
+    except OverflowError:
+        x = math.copysign(math.inf, mb)
     y = float(gamma(p, x))  # nan when x is inf or nan
     if not y < math.inf:
         form = ("x = alpha*(beta - mu)/(mu*d0) - 1" if not x < math.inf

@@ -56,6 +56,7 @@ __all__ = [
     "SimplexParams",
     "UOrbit",
     "UOrbitKind",
+    "UOrbitNotConverged",
     "UPointType",
     "UStability",
     "analyze",
@@ -76,6 +77,10 @@ PERIOD2_TOL = 1e-10
 
 class OutsideInvariantRegion(ValueError):
     """(alpha, beta) lies outside the simplex invariance region."""
+
+
+class UOrbitNotConverged(ValueError):
+    """The U orbit did not come within tol of x* in max_iter steps."""
 
 
 @dataclass(frozen=True)
@@ -313,7 +318,8 @@ def u_orbit_limit(
     Raises OutsideInvariantRegion when (alpha, beta) is not in the region
     (the orbit could escape [0, 1] there).  At the corner (2, 1) the orbit
     is the 2-cycle {x0, U(x0)} unless x0 is the fixed point.  Everywhere
-    else the orbit converges to x*; iteration stops once |x - x*| <= tol.
+    else the orbit converges to x*; iteration stops once |x - x*| <= tol,
+    and UOrbitNotConverged is raised if that takes more than max_iter steps.
     """
     if in_invariance_region(sp.alpha, sp.beta) is SimplexClass.NONE:
         raise OutsideInvariantRegion(
@@ -342,7 +348,7 @@ def u_orbit_limit(
         prev_gap = gap
         if gap <= tol:
             return UOrbit(UOrbitKind.FIXED_POINT, xs, None, n, rate)
-    raise ValueError(
+    raise UOrbitNotConverged(
         f"orbit still {prev_gap:.3e} from the fixed point after "
         f"{max_iter} iterations; loosen tol or raise max_iter"
     )

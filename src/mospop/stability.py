@@ -282,19 +282,16 @@ def modulus_type(eigs: tuple[complex, complex]) -> FixedPointType:
 
 
 def coarse_type(eigs: tuple[complex, complex]) -> FixedPointType:
-    """Three-way type: attracting, repelling, else saddle.
+    """Three-way type: modulus_type with non_hyperbolic read as saddle.
 
-    This is the split the declared tables use, where a modulus equal to 1
-    falls into "saddle" rather than a separate non-hyperbolic bucket.
-    Moduli within UNIT_CIRCLE_TOL of 1 count as equal to 1, so an
-    eigenvalue that is 1 up to rounding cannot flip the answer.
+    This is the split the declared tables use, where a modulus on the unit
+    circle, within the same UNIT_CIRCLE_TOL band, falls into "saddle"
+    rather than a separate non-hyperbolic bucket.
     """
-    r1, r2 = abs(eigs[0]), abs(eigs[1])
-    if r1 < 1.0 - UNIT_CIRCLE_TOL and r2 < 1.0 - UNIT_CIRCLE_TOL:
-        return FixedPointType.ATTRACTING
-    if r1 > 1.0 + UNIT_CIRCLE_TOL and r2 > 1.0 + UNIT_CIRCLE_TOL:
-        return FixedPointType.REPELLING
-    return FixedPointType.SADDLE
+    fp_type = modulus_type(eigs)
+    if fp_type is FixedPointType.NON_HYPERBOLIC:
+        return FixedPointType.SADDLE
+    return fp_type
 
 
 @dataclass(frozen=True)
@@ -316,14 +313,6 @@ class StabilityReport:
     @property
     def jacobian(self) -> np.ndarray:
         return _matrix(*self.jacobian_entries)
-
-
-def _attracting_by_inequalities(g: float, sqrt_f: float) -> bool:
-    return (0.0 < g <= 2.0 and sqrt_f < g) or (2.0 < g < 4.0 and sqrt_f < 4.0 - g)
-
-
-def _repelling_by_inequalities(g: float, sqrt_f: float) -> bool:
-    return (g < 0.0 and sqrt_f < -g) or (g > 4.0 and sqrt_f < g - 4.0)
 
 
 def check_fixed_point(
@@ -365,43 +354,21 @@ def classify_fixed_point(
     """Type the fixed point z of the map at p from its linearization.
 
     Raises ValueError unless tol > 0, and NotAFixedPoint unless z passes
-    check_fixed_point.  For d1 = 0 the closed-form eigenvalues and the
-    analytic attracting/repelling inequality systems are evaluated as
-    well and must agree with the modulus computation away from the
-    unit-circle band.
+    check_fixed_point.  The type is modulus_type of the eigenvalues; g and f
+    are reported alongside, and for d1 = 0 the eigenvalues are
+    (2 - g +- sqrt(f))/2.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     x, _ = check_fixed_point(p, z, tol)
-
     entries = jacobian_entries(p.alpha, p.beta, p.mu, p.d0, p.d1, x)
     eigs = _matrix_roots(*entries)
-    g = g_value(p, x)
-    f = f_value(p, x)
-    fp_type = modulus_type(eigs)
-
-    if p.d1 == 0.0 and fp_type is not FixedPointType.NON_HYPERBOLIC:
-        sqrt_f = math.sqrt(f) if f >= 0.0 else math.nan
-        margin = max(abs(abs(eigs[0]) - 1.0), abs(abs(eigs[1]) - 1.0))
-        if margin > 1e-7:
-            # away from the unit circle the inequality systems must agree
-            attract = _attracting_by_inequalities(g, sqrt_f)
-            repel = _repelling_by_inequalities(g, sqrt_f)
-            if attract != (fp_type is FixedPointType.ATTRACTING):
-                raise AssertionError(
-                    f"attracting inequalities disagree with moduli at {z!r}"
-                )
-            if repel and fp_type is not FixedPointType.REPELLING:
-                raise AssertionError(
-                    f"repelling inequalities disagree with moduli at {z!r}"
-                )
-
     return StabilityReport(
         jacobian_entries=entries,
         eigenvalues=eigs,
-        g_value=g,
-        f_value=f,
-        type=fp_type,
+        g_value=g_value(p, x),
+        f_value=f_value(p, x),
+        type=modulus_type(eigs),
     )
 
 
@@ -411,9 +378,9 @@ class DeclaredType:
 
     declared is None on the threshold equality beta = mu*(1 + d0/alpha),
     where the strict-inequality table is silent and typing defers to the
-    numeric classifier.  agrees compares declared against the numeric type,
-    falling back to the coarse three-way split when the numeric type is
-    non_hyperbolic (a modulus within the unit-circle band).
+    numeric classifier.  coarse is the numeric type with non_hyperbolic (a
+    modulus within the unit-circle band) read as saddle, and agrees compares
+    declared against it.
     """
 
     location: State
@@ -424,28 +391,16 @@ class DeclaredType:
     note: str
 
 
-def _audit(
-    p: Params,
-    x: float,
-    y: float,
-    declared: Optional[FixedPointType],
-    note: str,
-) -> DeclaredType:
+def _audit(p: Params, x: float, y: float,
+           declared: Optional[FixedPointType], note: str) -> DeclaredType:
     report = classify_fixed_point(p, (x, y), tol=1e-7)
-    numeric = report.type
-    crs = coarse_type(report.eigenvalues)
-    if declared is None:
-        agrees = True
-    elif numeric is FixedPointType.NON_HYPERBOLIC:
-        agrees = declared is crs
-    else:
-        agrees = declared is numeric
+    coarse = coarse_type(report.eigenvalues)
     return DeclaredType(
         location=State(x, y),
         declared=declared,
-        numeric=numeric,
-        coarse=crs,
-        agrees=agrees,
+        numeric=report.type,
+        coarse=coarse,
+        agrees=declared is None or declared is coarse,
         note=note,
     )
 

@@ -246,6 +246,14 @@ def appended() -> list[tuple[str, list[str]]]:
         ("exit2 stability phi1 overflow", ["stability", *phi1_beyond]),
         ("exit2 simulate phi1 overflow", ["simulate", *phi1_beyond,
                                           "--x0", "0", "--y0", "0"]),
+        ("stability close eigenvalue pair at the origin",
+         ["stability", "--alpha", "2.3928868106350317e-12", "--beta",
+          "3.3124892075191155e-11", "--mu", "1.4828361822966769e-07"]),
+        ("fixed-points phi1 where mu*d0 underflows",
+         ["fixed-points", "--alpha", "1e-200", "--beta", "3e-200",
+          "--mu", "1e-200", "--d0", "1e-200"]),
+        ("exit2 simplex orbit budget exhausted",
+         ["simplex", "--alpha", "1.99999999", "--beta", "1", "--x0", "0.1"]),
     ]
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from mospop import (
     FixedPointKind,
+    FixedPointType,
     SimplexParams,
     basic_offspring_number,
     eigenvalues,
@@ -122,6 +123,11 @@ class TestFixedPoints:
         assert err == ("error: phi1 fixed point "
                        "x = alpha*(beta - mu)/(mu*d0) - 1 overflows\n")
 
+    def test_phi1_root_where_mu_times_d0_underflows(self, capsys):
+        d = run_json(capsys, ["fixed-points", "--alpha", "1e-200", "--beta", "3e-200",
+                              "--mu", "1e-200", "--d0", "1e-200"])
+        assert [(pt["x"], pt["y"]) for pt in d["points"]] == [(0.0, 0.0), (1.0, 0.5)]
+
 
 class TestStability:
     def test_all_fixed_points_default(self, capsys):
@@ -172,6 +178,16 @@ class TestStability:
         code, out, err = run(capsys, ["simulate", *EX3, "--x0", "50", "--y0", "80"])
         assert code == 2 and out == ""
         assert err.startswith(f"error: {TOL_ENV} must be a")
+
+    def test_close_eigenvalue_pair_is_typed(self, capsys):
+        # both eigenvalues at the origin lie within 1.5e-7 of 1, where the
+        # computed pair keeps only about half its digits; the command must
+        # still type the point and exit 0
+        d = run_json(capsys, ["stability", "--alpha", "2.3928868106350317e-12",
+                              "--beta", "3.3124892075191155e-11",
+                              "--mu", "1.4828361822966769e-07"])
+        (pt,) = d["points"]
+        assert pt["type"] in {t.value for t in FixedPointType}
 
     def test_verify_block_is_per_point(self, capsys):
         d = run_json(capsys, ["stability", *EX3, "--verify"])
@@ -327,6 +343,13 @@ class TestSimplexCommand:
         code, _, err = run(capsys, ["simplex", "--alpha", "1.9", "--beta", "0.1",
                                     "--x0", "0.5"])
         assert code == 2
+
+    def test_orbit_budget_exhaustion_exit_2(self, capsys):
+        code, out, err = run(capsys, ["simplex", "--alpha", "1.99999999",
+                                      "--beta", "1", "--x0", "0.1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: orbit still ")
+        assert "after 100000 iterations" in err
 
     def test_human_shape_line(self, capsys):
         code, out, _ = run(capsys, ["simplex", "--alpha", "2", "--beta", "1"])

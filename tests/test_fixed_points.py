@@ -14,6 +14,7 @@ from mospop.fixed_points import (
     discriminant,
     find_fixed_points,
     gamma,
+    phi1_point,
 )
 from mospop.oracles import sample_region
 from mospop.params import basic_offspring_number, validate
@@ -113,6 +114,26 @@ class TestFindFixedPoints:
         # x = 1e300 fits, but alpha*x in y = gamma(x) overflows
         with pytest.raises(ClosedFormOverflow, match=r"y = alpha\*x/\(mu\*\(1 \+ x\)\)"):
             find_fixed_points(validate(1e300, 2.0, 1.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("rates, want", [
+        # mu*d0 and alpha*(beta - mu) both underflow to 0
+        ((1e-200, 3e-200, 1e-200, 1e-200, 0.0), (1.0, 0.5)),
+        # mu*d0 underflows, and (beta - mu)/d0 alone would overflow
+        ((1e-300, 10.0, 0.5, 3e-308, 0.0), (633333332.3333333, 1.9999999968421053e-300)),
+    ])
+    def test_phi1_closed_form_where_a_product_underflows(self, rates, want):
+        p = validate(*rates)
+        x, y = phi1_point(p)
+        assert math.isclose(x, want[0], rel_tol=1e-15, abs_tol=0.0)
+        assert math.isclose(y, want[1], rel_tol=1e-15, abs_tol=0.0)
+        fps = find_fixed_points(p)
+        assert fps.points[1].location == (x, y)
+
+    def test_phi1_closed_form_keeps_the_bits_of_the_plain_expression(self):
+        rng = np.random.default_rng(61)
+        for p in sample_region("phi1", 2000, rng):
+            plain = p.alpha * (p.beta - p.mu) / (p.mu * p.d0) - 1.0
+            assert phi1_point(p).x == plain
 
     def test_matched_rates_continuum(self):
         fps = find_fixed_points(PSI)

@@ -21,6 +21,7 @@ from mospop.simplex import (
     ShapeKind,
     SimplexParams,
     UOrbitKind,
+    UOrbitNotConverged,
     UPointType,
     analyze,
     fixed_point_u,
@@ -295,8 +296,15 @@ class TestOrbits:
             u_orbit_limit(CORNER, 1.5)
 
     def test_budget_exhaustion_raises_instead_of_guessing(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UOrbitNotConverged, match="after 3 iterations"):
             u_orbit_limit(SimplexParams(1.0, 1.0), 0.0, tol=1e-12, max_iter=3)
+
+    def test_budget_exhaustion_error_is_exported(self):
+        import mospop
+
+        assert mospop.UOrbitNotConverged is UOrbitNotConverged
+        assert issubclass(UOrbitNotConverged, ValueError)
+        assert not issubclass(UOrbitNotConverged, OutsideInvariantRegion)
 
     def test_starting_at_the_fixed_point_stays_there(self):
         sp = SimplexParams(1.0, 0.5)

@@ -16,7 +16,6 @@ from mospop.stability import (
     NotAFixedPoint,
     OutsideDeclaredRegion,
     characteristic_roots,
-    check_fixed_point,
     classify_fixed_point,
     coarse_type,
     declared_type_table,
@@ -24,7 +23,6 @@ from mospop.stability import (
     f_value,
     g_value,
     jacobian,
-    jacobian_entries,
     modulus_type,
 )
 from mospop.dynamics import step
@@ -197,8 +195,12 @@ LOG_RATE = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
 
 
 class TestClassify:
-    @given(LOG_RATE, LOG_RATE, LOG_RATE, st.just(0.0) | LOG_RATE, LOG_RATE)
+    @given(LOG_RATE, LOG_RATE, LOG_RATE, st.just(0.0) | LOG_RATE,
+           st.just(0.0) | LOG_RATE)
     @example(4347.0, 8.5e6, 1.8e-10, 0.0, 0.024)
+    # a close eigenvalue pair just below 1 at the origin
+    @example(2.3928868106350317e-12, 3.3124892075191155e-11,
+             1.4828361822966769e-07, 0.0, 0.0)
     @settings(max_examples=300, deadline=None)
     def test_every_closed_form_point_passes_the_gate(self, alpha, beta, mu, d0, d1):
         p = validate(alpha, beta, mu, d0, d1)
@@ -206,17 +208,35 @@ class TestClassify:
             rep = classify_fixed_point(p, pt.location)
             assert all(math.isfinite(abs(lam)) for lam in rep.eigenvalues)
 
-    @given(LOG_RATE, LOG_RATE, LOG_RATE, st.just(0.0) | LOG_RATE)
-    @settings(max_examples=300, deadline=None)
-    def test_every_closed_form_point_passes_the_gate_at_d1_zero(self, alpha, beta, mu, d0):
-        # the gate and the roots only: classify_fixed_point's d1 = 0
-        # cross-check can still trip on a close eigenvalue pair
-        p = validate(alpha, beta, mu, d0, 0.0)
-        for pt in find_fixed_points(p).points:
-            x, _ = check_fixed_point(p, pt.location)
-            j00, j01, j10, j11 = jacobian_entries(alpha, beta, mu, d0, 0.0, x)
-            lams = eigenvalues([[j00, j01], [j10, j11]])
-            assert all(math.isfinite(abs(lam)) for lam in lams)
+    def test_paper_inequality_systems_agree_with_the_moduli(self):
+        # for d1 = 0 the eigenvalues are (2 - g +- sqrt(f))/2; the paper types
+        # a fixed point by inequalities in g and sqrt(f), evaluated here from
+        # the rates, away from the unit circle
+        rng = np.random.default_rng(59)
+        checked = 0
+        for name in ("phi1", "phi_star", "theta_star_theta1", "psi",
+                     "psi_star", "omega_star"):
+            for p in sample_region(name, 800, rng):
+                if p.d1 != 0.0:
+                    continue
+                for pt in find_fixed_points(p).points:
+                    rep = classify_fixed_point(p, pt.location)
+                    margin = max(abs(abs(lam) - 1.0) for lam in rep.eigenvalues)
+                    if rep.type is FixedPointType.NON_HYPERBOLIC or margin <= 1e-7:
+                        continue
+                    a = p.alpha / (1.0 + pt.location.x) ** 2
+                    g = p.mu + p.d0 + a
+                    sqrt_f = math.sqrt((p.mu - p.d0 - a) ** 2 + 4.0 * p.beta * a)
+                    attract = ((0.0 < g <= 2.0 and sqrt_f < g)
+                               or (2.0 < g < 4.0 and sqrt_f < 4.0 - g))
+                    repel = ((g < 0.0 and sqrt_f < -g)
+                             or (g > 4.0 and sqrt_f < g - 4.0))
+                    assert attract == (rep.type is FixedPointType.ATTRACTING)
+                    # both roots beyond -1 and 1 on opposite sides also repel,
+                    # which the paper's repelling system does not cover
+                    assert not repel or rep.type is FixedPointType.REPELLING
+                    checked += 1
+        assert checked > 3000
 
     @pytest.mark.parametrize("rates, z", [
         ((0.5, 0.5, 0.5, 0.0, 1.0), (1e200, 1.0)),      # d1*x*x overflows
@@ -303,6 +323,15 @@ def test_modulus_type_band():
     assert modulus_type((1.0 + 0j, 0.5 + 0j)) is FixedPointType.NON_HYPERBOLIC
     near = 1.0 + 0.5 * UNIT_CIRCLE_TOL
     assert modulus_type((near + 0j, 0.5 + 0j)) is FixedPointType.NON_HYPERBOLIC
+
+
+def test_coarse_type_shares_the_band_of_modulus_type():
+    # fl(1 + 1e-9) lies just outside the band: r - 1 is about 1.00000008e-9
+    r = float.fromhex("0x1.000000044b830p+0")
+    assert r == 1.0 + UNIT_CIRCLE_TOL and r - 1.0 > UNIT_CIRCLE_TOL
+    assert modulus_type((r + 0j, r + 0j)) is FixedPointType.REPELLING
+    assert coarse_type((r + 0j, r + 0j)) is FixedPointType.REPELLING
+    assert coarse_type((1.0 + 0j, 0.5 + 0j)) is FixedPointType.SADDLE
 
 
 class TestDeclaredTable:
