@@ -208,6 +208,20 @@ class TestClassify:
             rep = classify_fixed_point(p, pt.location)
             assert all(math.isfinite(abs(lam)) for lam in rep.eigenvalues)
 
+    @given(LOG_RATE, LOG_RATE, LOG_RATE, st.just(0.0) | LOG_RATE)
+    # a close eigenvalue pair just below 1 at the origin
+    @example(2.3928868106350317e-12, 3.3124892075191155e-11,
+             1.4828361822966769e-07, 0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_every_closed_form_point_passes_the_gate_at_d1_zero(self, alpha, beta, mu, d0):
+        # with no second d1 = 0 typing left to disagree, the whole
+        # classification runs on a close eigenvalue pair too
+        p = validate(alpha, beta, mu, d0, 0.0)
+        for pt in find_fixed_points(p).points:
+            rep = classify_fixed_point(p, pt.location)
+            assert rep.type is modulus_type(rep.eigenvalues)
+            assert all(math.isfinite(abs(lam)) for lam in rep.eigenvalues)
+
     def test_paper_inequality_systems_agree_with_the_moduli(self):
         # for d1 = 0 the eigenvalues are (2 - g +- sqrt(f))/2; the paper types
         # a fixed point by inequalities in g and sqrt(f), evaluated here from
