@@ -254,7 +254,27 @@ def appended() -> list[tuple[str, list[str]]]:
           "--mu", "1e-200", "--d0", "1e-200"]),
         ("exit2 simplex orbit budget exhausted",
          ["simplex", "--alpha", "1.99999999", "--beta", "1", "--x0", "0.1"]),
+        *SWEEP_RADIUS_BRANCHES.items(),
     ]
+
+
+# Spectral-radius sweeps with cells where the discriminant tr*tr - 4*det of
+# the origin's quadratic is not positive and normal: rounded below 0, exactly
+# 0, and inf (tests/test_golden.py checks that each grid reaches its case).
+SWEEP_RADIUS_BRANCHES = {
+    "sweep spectral radius rounded negative discriminant":
+        ["sweep", "--axis1", "alpha:8.011558656841118e-11:0.5:0.5",
+         "--axis2", "beta:2.2585712852944462e-08:0.6:0.5",
+         "--quantity", "spectral_radius_at_origin",
+         "--mu", "9.112579545501377e-10", "--output", "-"],
+    "sweep spectral radius zero discriminant":
+        ["sweep", "--axis1", "alpha:1e-200:0.5:0.5", "--axis2", "beta:1e-200:0.5:0.5",
+         "--quantity", "spectral_radius_at_origin", "--mu", "1e-200",
+         "--output", "-"],
+    "sweep spectral radius overflowing discriminant":
+        ["sweep", "--axis1", "alpha:1:1e200:1e200", "--axis2", "beta:0.5:1:0.5",
+         "--quantity", "spectral_radius_at_origin", "--mu", "0.5", "--output", "-"],
+}
 
 
 def capture() -> list[dict]:

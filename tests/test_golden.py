@@ -8,7 +8,9 @@ carry the numpy version they were captured with.  Under another numpy only
 their exit code and their line or key structure are compared.
 """
 
+import itertools
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -18,7 +20,11 @@ import pytest
 
 GOLDEN = Path(__file__).with_name("golden")
 sys.path.insert(0, str(GOLDEN))
-from capture_golden import run_cli  # noqa: E402
+from capture_golden import SWEEP_RADIUS_BRANCHES, run_cli  # noqa: E402
+
+from mospop.cli import _parse_axis  # noqa: E402
+from mospop.params import RATES  # noqa: E402
+from mospop.stability import jacobian_entries, trace_det  # noqa: E402
 
 ENTRIES = json.loads((GOLDEN / "cli.json").read_text(encoding="ascii"))
 NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|\b(nan|inf)\b")
@@ -58,3 +64,31 @@ def test_entries_cover_every_subcommand_in_both_modes():
                     "simplex", "sweep", "verify"):
         assert {(command, False), (command, True)} <= seen
     assert {e["exit"] for e in ENTRIES} == {0, 2, 3}
+
+
+def _origin_discriminants(argv: list[str]) -> list[float]:
+    """tr*tr - 4*det of the Jacobian at the origin, per cell of a sweep's argv."""
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    rates = {name: float(opts.get("--" + name, 0.0)) for name in RATES}
+    axes = []
+    for spec in (opts["--axis1"], opts["--axis2"]):
+        name, lo, step, n = _parse_axis(spec)
+        axes.append([(name, lo + k * step) for k in range(n)])
+    out = []
+    for cell in itertools.product(*axes):
+        cell_rates = dict(rates, **dict(cell))
+        tr, det = trace_det(*jacobian_entries(
+            *(cell_rates[name] for name in RATES), 0.0))
+        out.append(tr * tr - 4.0 * det)
+    return out
+
+
+@pytest.mark.parametrize("name, reaches", [
+    ("sweep spectral radius rounded negative discriminant", lambda d: d < 0.0),
+    ("sweep spectral radius zero discriminant", lambda d: d == 0.0),
+    ("sweep spectral radius overflowing discriminant", lambda d: d == math.inf),
+])
+def test_radius_branch_grids_reach_their_branch(name, reaches):
+    discriminants = _origin_discriminants(SWEEP_RADIUS_BRANCHES[name])
+    assert any(reaches(d) for d in discriminants)
+    assert name in {e["name"] for e in ENTRIES}
