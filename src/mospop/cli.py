@@ -64,13 +64,13 @@ from .simplex import (
     u_orbit_limit,
 )
 from .stability import (
-    characteristic_roots,
     classify_fixed_point,
     declared_type_table,
     eigenvalues,
     jacobian,
     jacobian_entries,
     quad_roots,
+    spectral_radius_of,
     trace_det,
 )
 
@@ -87,11 +87,7 @@ SWEEP_QUANTITIES = (
 
 def fmt(v) -> str:
     """12-significant-digit rendering for floats, plain str otherwise."""
-    if isinstance(v, float):
-        if math.isfinite(v):
-            return format(v, ".12g")
-        return "inf" if v > 0 else ("-inf" if v < 0 else "nan")
-    return str(v)
+    return format(v, ".12g") if isinstance(v, float) else str(v)
 
 
 def _jnum(v: float):
@@ -592,8 +588,10 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list[str]
     """Rendered cells in row-major order.
 
     grid maps each rate to a float or to an array broadcasting to shape.
-    Region, count and r0 are evaluated once over the whole grid; the
-    spectral radius and x* go through the scalar root kernels per cell.
+    Region, count, r0 and the spectral radius are evaluated once over the
+    whole grid (the radius sends only cells whose discriminant is zero,
+    subnormal or not finite through the scalar root solver); x* goes
+    through the scalar kernel per cell.
     """
     import numpy as np
 
@@ -612,8 +610,7 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list[str]
         return [fmt(v) for v in flat(offspring_number_of(alpha, beta, mu, d0))]
     if quantity == "spectral_radius_at_origin":
         tr, det = trace_det(*jacobian_entries(alpha, beta, mu, d0, d1, 0.0))
-        return [fmt(abs(characteristic_roots(t, d)[0]))
-                for t, d in zip(flat(tr), flat(det))]
+        return [fmt(v) for v in flat(spectral_radius_of(tr, det))]
     raise ValueError(f"unknown quantity {quantity!r}")
 
 

@@ -66,6 +66,7 @@ __all__ = [
     "jacobian_entries",
     "modulus_type",
     "quad_roots",
+    "spectral_radius_of",
     "trace_det",
 ]
 
@@ -218,6 +219,32 @@ def characteristic_roots(tr: float, det: float) -> tuple[complex, complex]:
     if m2 > m1 or (m2 == m1 and (second.real, second.imag) > (first.real, first.imag)):
         return (second, first)
     return (first, second)
+
+
+def spectral_radius_of(tr, det) -> np.ndarray:
+    """abs(characteristic_roots(tr, det)[0]) elementwise, bit for bit.
+
+    tr and det are floats or arrays that broadcast together.  Where the
+    discriminant tr*tr - 4*det is normal, this is the first branch of
+    _quadratic(-1.0, tr, -det) as array arithmetic, in the same operation
+    order; np.hypot, like abs(complex), is the C library's hypot.  Each
+    other cell goes through characteristic_roots itself.
+    """
+    import numpy as np
+
+    tr, det = np.broadcast_arrays(np.asarray(tr, dtype=float),
+                                  np.asarray(det, dtype=float))
+    with np.errstate(all="ignore"):
+        disc = tr * tr - 4.0 * det
+        s = np.sqrt(np.abs(disc))
+        q = np.where(tr >= 0.0, -0.5 * (tr + s), -0.5 * (tr - s))
+        radius = np.where(disc > 0.0, np.maximum(np.abs(q), np.abs(det / q)),
+                          np.hypot(tr / 2.0, s / 2.0))
+    rest = ~((_MIN_NORMAL <= np.abs(disc)) & (np.abs(disc) < math.inf))
+    if rest.any():
+        radius[rest] = [abs(characteristic_roots(t, d)[0])
+                        for t, d in zip(tr[rest].tolist(), det[rest].tolist())]
+    return radius
 
 
 def _matrix_roots(j00, j01, j10, j11) -> tuple[complex, complex]:

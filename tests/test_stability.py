@@ -23,7 +23,10 @@ from mospop.stability import (
     f_value,
     g_value,
     jacobian,
+    jacobian_entries,
     modulus_type,
+    spectral_radius_of,
+    trace_det,
 )
 from mospop.dynamics import step
 
@@ -192,6 +195,58 @@ class TestCharacteristicRoots:
 
 
 LOG_RATE = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
+
+
+def _scalar_radius_hex(tr: float, det: float) -> str:
+    return abs(characteristic_roots(tr, det)[0]).hex()
+
+
+class TestSpectralRadius:
+    """spectral_radius_of against the scalar solve, compared bit for bit."""
+
+    @given(st.lists(st.tuples(LOG_RATE, LOG_RATE, LOG_RATE, st.just(0.0) | LOG_RATE,
+                              st.just(0.0) | LOG_RATE), min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_characteristic_roots_at_the_origin(self, rates):
+        columns = (np.array(c) for c in zip(*rates))
+        tr, det = trace_det(*jacobian_entries(*columns, 0.0))
+        got = spectral_radius_of(tr, det)
+        assert got.shape == tr.shape
+        for t, d, r in zip(tr.tolist(), det.tolist(), got.tolist()):
+            assert r.hex() == _scalar_radius_hex(t, d)
+
+    @pytest.mark.parametrize("rates, reaches", [
+        ((8.011558656841118e-11, 2.2585712852944462e-08, 9.112579545501377e-10),
+         lambda disc: disc < 0.0),
+        ((1e-200, 1e-200, 1e-200), lambda disc: disc == 0.0),
+        ((1e200, 0.5, 0.5), lambda disc: disc == math.inf),
+    ], ids=["rounded negative", "zero", "overflowing"])
+    def test_planted_discriminant_branches(self, rates, reaches):
+        tr, det = trace_det(*jacobian_entries(*rates, 0.0, 0.0, 0.0))
+        assert reaches(tr * tr - 4.0 * det)
+        assert float(spectral_radius_of(tr, det)).hex() == _scalar_radius_hex(tr, det)
+
+    @pytest.mark.parametrize("tr", [0.0, -0.0])
+    @pytest.mark.parametrize("det", [0.0, -0.0, 0.25, -0.25, 1e-310, -1e-310,
+                                     1e300, -1e300])
+    def test_signed_zero_trace(self, tr, det):
+        assert float(spectral_radius_of(tr, det)).hex() == _scalar_radius_hex(tr, det)
+
+    def test_plain_floats_give_a_zero_dimensional_array(self):
+        got = spectral_radius_of(1.5, 0.5)
+        assert got.shape == ()
+        assert float(got).hex() == _scalar_radius_hex(1.5, 0.5)
+
+    def test_broadcast_grid_mixes_both_paths_cell_by_cell(self):
+        # det = 1 with tr = 2 has a zero discriminant, and 4e200 overflows
+        # tr*tr: those cells take the scalar solve, the rest the array path
+        tr = np.array([[2.0], [-1.5], [4e200], [0.0]])
+        det = np.array([1.0, 0.5, -2.0, 3e200])
+        got = spectral_radius_of(tr, det)
+        assert got.shape == (4, 4)
+        for i, t in enumerate(tr[:, 0].tolist()):
+            for j, d in enumerate(det.tolist()):
+                assert float(got[i, j]).hex() == _scalar_radius_hex(t, d)
 
 
 class TestClassify:
