@@ -589,9 +589,7 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list[str]
 
     grid maps each rate to a float or to an array broadcasting to shape.
     Region, count, r0 and the spectral radius are evaluated once over the
-    whole grid (the radius sends only cells whose discriminant is zero,
-    subnormal or not finite through the scalar root solver); x* goes
-    through the scalar kernel per cell.
+    whole grid; x* goes through the scalar root kernel per cell.
     """
     import numpy as np
 

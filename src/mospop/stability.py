@@ -236,11 +236,12 @@ def spectral_radius_of(tr, det) -> np.ndarray:
                                   np.asarray(det, dtype=float))
     with np.errstate(all="ignore"):
         disc = tr * tr - 4.0 * det
-        s = np.sqrt(np.abs(disc))
+        size = np.abs(disc)
+        s = np.sqrt(size)
         q = np.where(tr >= 0.0, -0.5 * (tr + s), -0.5 * (tr - s))
         radius = np.where(disc > 0.0, np.maximum(np.abs(q), np.abs(det / q)),
                           np.hypot(tr / 2.0, s / 2.0))
-    rest = ~((_MIN_NORMAL <= np.abs(disc)) & (np.abs(disc) < math.inf))
+    rest = ~((_MIN_NORMAL <= size) & (size < math.inf))
     if rest.any():
         radius[rest] = [abs(characteristic_roots(t, d)[0])
                         for t, d in zip(tr[rest].tolist(), det[rest].tolist())]
