@@ -225,10 +225,10 @@ def spectral_radius_of(tr, det) -> np.ndarray:
     """abs(characteristic_roots(tr, det)[0]) elementwise, bit for bit.
 
     tr and det are floats or arrays that broadcast together.  Where the
-    discriminant tr*tr - 4*det is normal, this is the first branch of
-    _quadratic(-1.0, tr, -det) as array arithmetic, in the same operation
-    order; np.hypot, like abs(complex), is the C library's hypot.  Each
-    other cell goes through characteristic_roots itself.
+    discriminant tr*tr - 4*det is positive and normal, this is the real
+    branch of _quadratic(-1.0, tr, -det) as array arithmetic, in the same
+    operation order.  Each other cell goes through characteristic_roots
+    itself.
     """
     import numpy as np
 
@@ -236,12 +236,10 @@ def spectral_radius_of(tr, det) -> np.ndarray:
                                   np.asarray(det, dtype=float))
     with np.errstate(all="ignore"):
         disc = tr * tr - 4.0 * det
-        size = np.abs(disc)
-        s = np.sqrt(size)
+        s = np.sqrt(disc)
         q = np.where(tr >= 0.0, -0.5 * (tr + s), -0.5 * (tr - s))
-        radius = np.where(disc > 0.0, np.maximum(np.abs(q), np.abs(det / q)),
-                          np.hypot(tr / 2.0, s / 2.0))
-    rest = ~((_MIN_NORMAL <= size) & (size < math.inf))
+        radius = np.asarray(np.maximum(np.abs(q), np.abs(det / q)))
+    rest = ~((_MIN_NORMAL <= disc) & (disc < math.inf))
     if rest.any():
         radius[rest] = [abs(characteristic_roots(t, d)[0])
                         for t, d in zip(tr[rest].tolist(), det[rest].tolist())]
