@@ -38,7 +38,6 @@ from .oracles import (
     fd_jacobian,
     grid_period_scan,
     sample_invariance_pairs,
-    sample_outside_pairs,
     sample_region,
 )
 from .params import (
@@ -143,7 +142,6 @@ __all__ = [
     "primary_region",
     "quad_roots",
     "sample_invariance_pairs",
-    "sample_outside_pairs",
     "sample_region",
     "shape_class",
     "simplex_invariant",

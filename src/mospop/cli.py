@@ -25,54 +25,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .dynamics import orbit, step
-from .fixed_points import (
-    DEFAULT_CONTINUUM_GRID,
-    FixedPointKind,
-    find_fixed_points,
-    larval_quadratic,
-)
-from .oracles import (
-    fd_derivative,
-    fd_jacobian,
-    grid_period_scan,
-    sample_invariance_pairs,
-    sample_region,
-)
-from .params import (
-    PRIMARY_REGIONS,
-    RATES,
-    Params,
-    admissible,
-    basic_offspring_number,
-    birth_threshold,
-    boundary_report,
-    classify,
-    offspring_number_of,
-    preserves_quadrant,
-    primary_region,
-    primary_region_index,
-    validate,
-)
-from .simplex import (
-    SimplexParams,
-    analyze,
-    fixed_point_u,
-    fixed_point_u_of,
-    u_derivative,
-    u_map,
-    u_orbit_limit,
-)
-from .stability import (
-    classify_fixed_point,
-    declared_type_table,
-    eigenvalues,
-    jacobian,
-    jacobian_entries,
-    quad_roots,
-    spectral_radius_of,
-    trace_det,
-)
+from . import dynamics, fixed_points, oracles, params, simplex, stability
 
 TOL_ENV = "MOSPOP_TOL"
 MAX_SWEEP_CELLS = 10**7
@@ -86,21 +39,28 @@ SWEEP_QUANTITIES = (
 
 
 def fmt(v) -> str:
-    """12-significant-digit rendering for floats, plain str otherwise."""
-    return format(v, ".12g") if isinstance(v, float) else str(v)
+    """12-significant-digit rendering for floats and complex numbers (as
+    re+imj), plain str otherwise."""
+    # two checks, not a tuple: a float, the hot case, then costs one
+    if isinstance(v, float) or isinstance(v, complex):
+        return format(v, ".12g")
+    return str(v)
 
 
-def _jnum(v: float):
-    """Floats rounded to 12 significant digits for JSON payloads."""
+def _json_ready(v):
+    """v for json.dumps, every number rendered as fmt renders it: finite
+    floats rounded to 12 significant digits, non-finite ones as strings,
+    complex numbers as {"re", "im"}.  Dicts, lists and tuples are walked;
+    everything else passes through."""
     if isinstance(v, float):
-        if math.isfinite(v):
-            return float(format(v, ".12g"))
-        return fmt(v)
+        return float(fmt(v)) if math.isfinite(v) else fmt(v)
+    if isinstance(v, complex):
+        return {"re": _json_ready(v.real), "im": _json_ready(v.imag)}
+    if isinstance(v, dict):
+        return {k: _json_ready(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_ready(x) for x in v]
     return v
-
-
-def _jcomplex(z: complex) -> dict:
-    return {"re": _jnum(z.real), "im": _jnum(z.imag)}
 
 
 def _usage_error(msg: str) -> None:
@@ -129,13 +89,13 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _params_from_args(args) -> Params:
-    return validate(args.alpha, args.beta, args.mu, args.d0, args.d1)
+def _params_from_args(args) -> params.Params:
+    return params.validate(args.alpha, args.beta, args.mu, args.d0, args.d1)
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(_json_ready(payload), indent=2, sort_keys=True))
     else:
         for line in human:
             print(line)
@@ -148,15 +108,15 @@ def _emit(args, payload: dict, human: list[str]) -> None:
 
 def cmd_classify(args) -> int:
     p = _params_from_args(args)
-    label = classify(p)
+    label = params.classify(p)
     flags = {k: v for k, v in vars(label).items() if k.startswith("in_")}
     payload = {
-        "params": {k: _jnum(v) for k, v in zip(RATES, p.astuple())},
-        "primary_region": primary_region(p),
+        "params": dict(zip(params.RATES, p.astuple())),
+        "primary_region": params.primary_region(p),
         "flags": flags,
         "simplex_class": label.simplex_class.value,
-        "r0": _jnum(basic_offspring_number(p)),
-        "birth_threshold": _jnum(birth_threshold(p)),
+        "r0": params.basic_offspring_number(p),
+        "birth_threshold": params.birth_threshold(p),
     }
     human = [
         f"primary region: {payload['primary_region']}",
@@ -169,7 +129,7 @@ def cmd_classify(args) -> int:
         human.append("note: continuum of fixed points (matched rates, "
                      "no larval death)")
     if args.eps is not None:
-        near = boundary_report(p, args.eps)
+        near = params.boundary_report(p, args.eps)
         payload["boundaries_within_eps"] = near
         human.append(
             "boundaries within eps: " + ("; ".join(near) if near else "none")
@@ -185,41 +145,40 @@ def cmd_classify(args) -> int:
 
 def _point_payload(report) -> dict:
     return {
-        "x": _jnum(report.location.x),
-        "y": _jnum(report.location.y),
+        "x": report.location.x,
+        "y": report.location.y,
         "formula": report.formula.value,
-        "residual": _jnum(report.residual),
+        "residual": report.residual,
     }
 
 
 def cmd_fixed_points(args) -> int:
     p = _params_from_args(args)
-    grid = DEFAULT_CONTINUUM_GRID
+    grid = fixed_points.DEFAULT_CONTINUUM_GRID
     if args.samples is not None:
         if args.samples < 2:
             _usage_error("--samples must be at least 2")
-        hi = DEFAULT_CONTINUUM_GRID[-1]
+        hi = grid[-1]
         grid = tuple(hi * k / (args.samples - 1) for k in range(args.samples))
-    fps = find_fixed_points(p, sample_grid=grid)
+    fps = fixed_points.find_fixed_points(p, sample_grid=grid)
     payload = {
         "kind": fps.kind.value,
         "points": [_point_payload(r) for r in fps.points],
     }
     if fps.quad_discriminant is not None:
-        payload["discriminant"] = _jnum(fps.quad_discriminant)
-    if fps.kind is FixedPointKind.CONTINUUM:
+        payload["discriminant"] = fps.quad_discriminant
+    if fps.kind is fixed_points.FixedPointKind.CONTINUUM:
         payload["curve"] = "y = alpha*x/(mu*(1+x)) for all x >= 0"
-        payload["sample_grid"] = [_jnum(x) for x in fps.sample_grid]
+        payload["sample_grid"] = fps.sample_grid
 
     if args.verify:
-        a, b, c = larval_quadratic(p)
+        a, b, c = fixed_points.larval_quadratic(p)
         xs = [r.location.x for r in fps.points]
         payload["verification"] = {
             # the origin comes first with residual 0
-            "max_step_residual": _jnum(max(r.residual for r in fps.points)),
-            "max_quadratic_residual": _jnum(
-                max([0.0] + [abs(a * x * x + b * x + c) for x in xs if x > 0.0])
-            ),
+            "max_step_residual": max(r.residual for r in fps.points),
+            "max_quadratic_residual":
+                max([0.0] + [abs(a * x * x + b * x + c) for x in xs if x > 0.0]),
         }
 
     human = [f"kind: {payload['kind']}"]
@@ -244,12 +203,12 @@ def cmd_fixed_points(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fd_jacobian_error(p: Params, z, jac) -> float:
+def _fd_jacobian_error(p: params.Params, z, jac) -> float:
     """Largest entry gap between jac and the finite-difference Jacobian of
     the map at z, relative to max(1, largest |entry| of jac)."""
     import numpy as np
 
-    fd = fd_jacobian(lambda x, y: step(p, (x, y)), z)
+    fd = oracles.fd_jacobian(lambda x, y: dynamics.step(p, (x, y)), z)
     return float(np.max(np.abs(fd - jac)) / max(1.0, float(np.max(np.abs(jac)))))
 
 
@@ -263,25 +222,24 @@ def _lapack_eigenvalue_gap(jac, eigs) -> float:
     return max(abs(complex(a) - b) for a, b in zip(lapack, eigs))
 
 
-def _stability_payload(p: Params, z, tol: float, want_verify: bool) -> dict:
-    report = classify_fixed_point(p, z, tol=tol)
+def _stability_payload(p: params.Params, z, tol: float, want_verify: bool) -> dict:
+    report = stability.classify_fixed_point(p, z, tol=tol)
     lam1, lam2 = report.eigenvalues
     j00, j01, j10, j11 = report.jacobian_entries
     payload = {
-        "location": {"x": _jnum(float(z[0])), "y": _jnum(float(z[1]))},
-        "jacobian": [[_jnum(j00), _jnum(j01)], [_jnum(j10), _jnum(j11)]],
-        "eigenvalues": [_jcomplex(lam1), _jcomplex(lam2)],
-        "moduli": [_jnum(abs(lam1)), _jnum(abs(lam2))],
-        "g": _jnum(report.g_value),
-        "f": _jnum(report.f_value),
+        "location": {"x": float(z[0]), "y": float(z[1])},
+        "jacobian": [[j00, j01], [j10, j11]],
+        "eigenvalues": [lam1, lam2],
+        "moduli": [abs(lam1), abs(lam2)],
+        "g": report.g_value,
+        "f": report.f_value,
         "type": report.type.value,
     }
     if want_verify:
         jac = report.jacobian
         payload["verification"] = {
-            "fd_jacobian_rel_error": _jnum(_fd_jacobian_error(p, z, jac)),
-            "eigenvalue_cross_check": _jnum(
-                _lapack_eigenvalue_gap(jac, report.eigenvalues)),
+            "fd_jacobian_rel_error": _fd_jacobian_error(p, z, jac),
+            "eigenvalue_cross_check": _lapack_eigenvalue_gap(jac, report.eigenvalues),
         }
     return payload
 
@@ -292,7 +250,8 @@ def cmd_stability(args) -> int:
     if args.at is not None:
         targets = [tuple(args.at)]
     else:
-        targets = [tuple(r.location) for r in find_fixed_points(p).points]
+        targets = [tuple(r.location)
+                   for r in fixed_points.find_fixed_points(p).points]
 
     reports = [_stability_payload(p, z, tol, args.verify) for z in targets]
     payload: dict = {"points": reports}
@@ -300,32 +259,27 @@ def cmd_stability(args) -> int:
     human = []
     for rep in reports:
         loc = rep["location"]
-        lam = rep["eigenvalues"]
-        human.append(
-            f"({fmt(float(loc['x']))}, {fmt(float(loc['y']))}): {rep['type']}"
-        )
-        human.append(
-            f"  eigenvalues: {fmt(float(lam[0]['re']))}{float(lam[0]['im']):+.12g}j, "
-            f"{fmt(float(lam[1]['re']))}{float(lam[1]['im']):+.12g}j"
-        )
+        lam1, lam2 = rep["eigenvalues"]
+        human.append(f"({fmt(loc['x'])}, {fmt(loc['y'])}): {rep['type']}")
+        human.append(f"  eigenvalues: {fmt(lam1)}, {fmt(lam2)}")
         if "verification" in rep:
             v = rep["verification"]
             human.append(
-                f"  verify: fd jacobian rel err {fmt(float(v['fd_jacobian_rel_error']))}, "
-                f"eig cross-check {fmt(float(v['eigenvalue_cross_check']))}"
+                f"  verify: fd jacobian rel err {fmt(v['fd_jacobian_rel_error'])}, "
+                f"eig cross-check {fmt(v['eigenvalue_cross_check'])}"
             )
 
-    if preserves_quadrant(p) and args.at is None:
+    if params.preserves_quadrant(p) and args.at is None:
         payload["declared_types"] = [
             {
-                "x": _jnum(d.location.x),
-                "y": _jnum(d.location.y),
+                "x": d.location.x,
+                "y": d.location.y,
                 "declared": None if d.declared is None else d.declared.value,
                 "numeric": d.numeric.value,
                 "agrees": d.agrees,
                 "note": d.note,
             }
-            for d in declared_type_table(p)
+            for d in stability.declared_type_table(p)
         ]
         for d in payload["declared_types"]:
             human.append(
@@ -408,7 +362,7 @@ def render_trajectory_svg(samples) -> str:
 
 def cmd_simulate(args) -> int:
     p = _params_from_args(args)
-    result = orbit(
+    result = dynamics.orbit(
         p,
         (args.x0, args.y0),
         max_iter=args.iters,
@@ -420,21 +374,18 @@ def cmd_simulate(args) -> int:
         "verdict": result.verdict.value,
         "iterations_used": result.iterations_used,
         "left_positive_quadrant": result.left_positive_quadrant,
-        "final": {"iteration": final_n, "x": _jnum(final_s.x), "y": _jnum(final_s.y)},
-        "samples": [
-            {"iteration": n, "x": _jnum(s.x), "y": _jnum(s.y)}
-            for n, s in result.samples
-        ],
+        "final": {"iteration": final_n, "x": final_s.x, "y": final_s.y},
+        "samples": [{"iteration": n, "x": s.x, "y": s.y} for n, s in result.samples],
     }
     human = [
         f"verdict: {result.verdict.value} after {result.iterations_used} iterations",
         f"final state: ({fmt(final_s.x)}, {fmt(final_s.y)})",
     ]
     if result.limit is not None:
-        payload["limit"] = {"x": _jnum(result.limit.x), "y": _jnum(result.limit.y)}
+        payload["limit"] = {"x": result.limit.x, "y": result.limit.y}
         human.append(f"limit: ({fmt(result.limit.x)}, {fmt(result.limit.y)})")
     if result.y_limit_estimate is not None:
-        payload["y_limit_estimate"] = _jnum(result.y_limit_estimate)
+        payload["y_limit_estimate"] = result.y_limit_estimate
         human.append(f"y limit estimate: {fmt(result.y_limit_estimate)}")
     if result.period is not None:
         payload["period"] = result.period
@@ -459,17 +410,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_simplex(args) -> int:
-    sp = SimplexParams(args.alpha, args.beta)
-    report = analyze(sp)
+    if args.csv is not None and args.orbit <= 0:
+        _usage_error("--csv needs a positive --orbit")
+    if args.orbit > 0 and args.x0 is None:
+        _usage_error("--orbit needs --x0")
+    sp = simplex.SimplexParams(args.alpha, args.beta)
+    report = simplex.analyze(sp)
     inv = report.invariance
-    roots = [_jnum(r) for r in report.period2.roots]
+    roots = report.period2.roots
     payload: dict = {
-        "alpha": _jnum(sp.alpha),
-        "beta": _jnum(sp.beta),
+        "alpha": sp.alpha,
+        "beta": sp.beta,
         "invariant": inv.invariant,
         "invariance_region": inv.region.value,
-        "x_star": _jnum(report.x_star),
-        "u_prime_at_star": _jnum(report.u_prime_at_star),
+        "x_star": report.x_star,
+        "u_prime_at_star": report.u_prime_at_star,
         "stability": report.stability.value,
         "shape_class": report.shape_class.value,
         "monotonic_shape": report.monotonic_shape.value,
@@ -489,34 +444,30 @@ def cmd_simplex(args) -> int:
         + ("  roots: " + ", ".join(fmt(r) for r in roots) if roots else ""),
     ]
     if inv.witness is not None:
-        payload["witness"] = {
-            "x": _jnum(inv.witness),
-            "u_of_x": _jnum(inv.witness_image),
-        }
+        payload["witness"] = {"x": inv.witness, "u_of_x": inv.witness_image}
         human.append(
             f"witness: U({fmt(inv.witness)}) = {fmt(inv.witness_image)}"
         )
     if report.x_min is not None:
-        payload["x_min"] = _jnum(report.x_min)
+        payload["x_min"] = report.x_min
         human.append(f"interior minimum of U at x = {fmt(report.x_min)}")
     if report.proof_roots is not None:
-        proof_roots = [_jnum(r) for r in report.proof_roots]
-        payload["invariance_quadratic_roots"] = proof_roots
+        payload["invariance_quadratic_roots"] = report.proof_roots
         human.append("invariance quadratic roots: "
-                     + ", ".join(fmt(r) for r in proof_roots))
+                     + ", ".join(fmt(r) for r in report.proof_roots))
 
     if args.x0 is not None:
-        limit = u_orbit_limit(sp, args.x0)
+        limit = simplex.u_orbit_limit(sp, args.x0)
         lim_payload: dict = {"kind": limit.kind.value,
                              "iterations_used": limit.iterations_used}
         if limit.limit is not None:
-            lim_payload["limit"] = _jnum(limit.limit)
+            lim_payload["limit"] = limit.limit
             human.append(
                 f"orbit from {fmt(args.x0)}: {limit.kind.value} at "
                 f"{fmt(limit.limit)} ({limit.iterations_used} iterations)"
             )
         if limit.cycle is not None:
-            lim_payload["cycle"] = [_jnum(v) for v in limit.cycle]
+            lim_payload["cycle"] = limit.cycle
             human.append(
                 f"orbit from {fmt(args.x0)}: 2-cycle "
                 f"{{{fmt(limit.cycle[0])}, {fmt(limit.cycle[1])}}}"
@@ -526,24 +477,23 @@ def cmd_simplex(args) -> int:
         if args.orbit:
             xs = [float(args.x0)]
             for _ in range(args.orbit):
-                xs.append(float(u_map(sp, xs[-1])))
+                xs.append(float(simplex.u_map(sp, xs[-1])))
             if args.csv:
                 _write(args.csv, "iter,x\n" + "".join(
                     f"{i},{fmt(v)}\n" for i, v in enumerate(xs)))
                 human.append(f"wrote CSV: {args.csv}")
             else:
-                payload["orbit"]["iterates"] = [_jnum(v) for v in xs]
+                lim_payload["iterates"] = xs
 
     if args.verify:
-        xs_fp = fixed_point_u(sp)
-        resid = abs(float(u_map(sp, xs_fp)) - xs_fp)
-        fd = fd_derivative(lambda x: float(u_map(sp, x)), xs_fp)
-        scan = grid_period_scan(
-            lambda x: u_map(sp, x), (0.0, 1.0), 2, grid=512
-        )
+        xs_fp = simplex.fixed_point_u(sp)
+        resid = abs(float(simplex.u_map(sp, xs_fp)) - xs_fp)
+        fd = oracles.fd_derivative(lambda x: float(simplex.u_map(sp, x)), xs_fp)
+        scan = oracles.grid_period_scan(lambda x: simplex.u_map(sp, x), (0.0, 1.0), 2,
+                                        grid=512)
         payload["verification"] = {
-            "fixed_point_residual": _jnum(resid),
-            "fd_derivative_gap": _jnum(abs(fd - float(u_derivative(sp, xs_fp)))),
+            "fixed_point_residual": resid,
+            "fd_derivative_gap": abs(fd - float(simplex.u_derivative(sp, xs_fp))),
             "period2_scan_count": len(scan),
         }
         human.append(
@@ -570,7 +520,7 @@ def _parse_axis(spec: str) -> tuple[str, float, float, int]:
         lo, hi, step_ = float(lo), float(hi), float(step_)
     except ValueError:
         _usage_error(f"bad axis spec {spec!r}, expected name:lo:hi:step")
-    if name not in RATES:
+    if name not in params.RATES:
         _usage_error(f"unknown axis parameter {name!r}")
     if not all(math.isfinite(v) for v in (lo, hi, step_)):
         _usage_error(f"axis bounds and step must be finite in {spec!r}")
@@ -597,18 +547,19 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list[str]
         return np.broadcast_to(v, shape).ravel().tolist()
 
     if quantity == "x_star":
-        return [fmt(fixed_point_u_of(a, b))
-                for a, b in zip(flat(grid["alpha"]), flat(grid["beta"]))]
-    alpha, beta, mu, d0, d1 = (grid[name] for name in RATES)
+        xs = map(simplex.fixed_point_u_of, flat(grid["alpha"]), flat(grid["beta"]))
+        return [fmt(x) for x in xs]
+    alpha, beta, mu, d0, d1 = (grid[name] for name in params.RATES)
     if quantity in ("region", "fixed_point_count"):
-        names = PRIMARY_REGIONS if quantity == "region" else _COUNT_BY_REGION
-        index = primary_region_index(alpha, beta, mu, d0, d1)
+        names = params.PRIMARY_REGIONS if quantity == "region" else _COUNT_BY_REGION
+        index = params.primary_region_index(alpha, beta, mu, d0, d1)
         return flat(np.array(names, dtype=object)[index])
     if quantity == "r0":
-        return [fmt(v) for v in flat(offspring_number_of(alpha, beta, mu, d0))]
+        return [fmt(v) for v in flat(params.offspring_number_of(alpha, beta, mu, d0))]
     if quantity == "spectral_radius_at_origin":
-        tr, det = trace_det(*jacobian_entries(alpha, beta, mu, d0, d1, 0.0))
-        return [fmt(v) for v in flat(spectral_radius_of(tr, det))]
+        entries = stability.jacobian_entries(alpha, beta, mu, d0, d1, 0.0)
+        radius = stability.spectral_radius_of(*stability.trace_det(*entries))
+        return [fmt(v) for v in flat(radius)]
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
@@ -625,9 +576,9 @@ def cmd_sweep(args) -> int:
     vals1 = [lo1 + k * step1 for k in range(n1)]
     vals2 = [lo2 + k * step2 for k in range(n2)]
 
-    fixed = {name: getattr(args, name) for name in RATES}
+    fixed = {name: getattr(args, name) for name in params.RATES}
     x_star = args.quantity == "x_star"
-    for name in ("alpha", "beta") if x_star else RATES:
+    for name in ("alpha", "beta") if x_star else params.RATES:
         if fixed[name] is None and name not in (name1, name2):
             _usage_error(f"--{name} is required (not an axis) for quantity "
                          f"{args.quantity!r}")
@@ -640,15 +591,15 @@ def cmd_sweep(args) -> int:
     # (alpha, beta, beta, 0, 0).  The first cell outside the domain goes
     # through the scalar constructor, which raises the error reported.
     rates = ((grid["alpha"], grid["beta"], grid["beta"], 0.0, 0.0) if x_star
-             else tuple(grid[name] for name in RATES))
-    ok = np.broadcast_to(admissible(*rates), shape)
+             else tuple(grid[name] for name in params.RATES))
+    ok = np.broadcast_to(params.admissible(*rates), shape)
     if not ok.all():
         i, j = divmod(int(np.argmin(ok)), shape[1])
         bad = dict(fixed, **{name1: vals1[i], name2: vals2[j]})
         if x_star:
-            SimplexParams(bad["alpha"], bad["beta"])
+            simplex.SimplexParams(bad["alpha"], bad["beta"])
         else:
-            validate(*(bad[name] for name in RATES))
+            params.validate(*(bad[name] for name in params.RATES))
     with np.errstate(all="ignore"):
         cells = _sweep_cells(args.quantity, grid, shape)
 
@@ -664,8 +615,8 @@ def cmd_sweep(args) -> int:
     else:
         _write(args.output, text)
         if args.json:
-            grid_points = itertools.product([_jnum(v) for v in vals1],
-                                            [_jnum(v) for v in vals2])
+            # only the axis values need rounding: the cells are strings
+            grid_points = itertools.product(_json_ready(vals1), _json_ready(vals2))
             rows = [[v1, v2, cell] for (v1, v2), cell in zip(grid_points, cells)]
             print(json.dumps(
                 {"axis1": name1, "axis2": name2, "quantity": args.quantity,
@@ -697,7 +648,7 @@ def cmd_verify(args) -> int:
         a = float(rng.normal()) or 1.0
         b = float(rng.normal()) * scale
         c = float(rng.normal())
-        for r in quad_roots(a, b, c):
+        for r in stability.quad_roots(a, b, c):
             num = abs(a * r * r + b * r + c)
             den = max(abs(a) * abs(r) ** 2, abs(b) * abs(r), abs(c), 1.0)
             worst = max(worst, num / den)
@@ -705,34 +656,32 @@ def cmd_verify(args) -> int:
           f"worst relative residual {fmt(worst)} over {n} draws")
 
     worst = 0.0
-    for p in sample_region("omega", n, rng):
-        x = float(rng.uniform(0.0, 5.0))
-        y = float(rng.uniform(0.0, 5.0))
-        worst = max(worst, _fd_jacobian_error(p, (x, y), jacobian(p, (x, y))))
+    for p in oracles.sample_region("omega", n, rng):
+        z = (float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0)))
+        worst = max(worst, _fd_jacobian_error(p, z, stability.jacobian(p, z)))
     check("fd_jacobian_agreement", worst <= 1e-5,
           f"worst relative error {fmt(worst)} over {n} draws")
 
     worst = 0.0
-    for p in sample_region("omega", n, rng):
+    for p in oracles.sample_region("omega", n, rng):
         x = float(rng.uniform(0.0, 5.0))
-        m = jacobian(p, (x, rng.uniform(0.0, 5.0)))
-        worst = max(worst, _lapack_eigenvalue_gap(m, eigenvalues(m)))
+        m = stability.jacobian(p, (x, rng.uniform(0.0, 5.0)))
+        worst = max(worst, _lapack_eigenvalue_gap(m, stability.eigenvalues(m)))
     check("eigenvalue_cross_check", worst <= 1e-9,
           f"worst |difference| {fmt(worst)} over {n} draws")
 
     bad = 0
-    for p in sample_region("omega", n, rng):
-        lhs = basic_offspring_number(p) > 1.0
-        rhs = p.beta > birth_threshold(p)
+    for p in oracles.sample_region("omega", n, rng):
+        lhs = params.basic_offspring_number(p) > 1.0
+        rhs = p.beta > params.birth_threshold(p)
         bad += lhs != rhs
     check("r0_threshold_equivalence", bad == 0,
           f"{bad} disagreements over {n} draws")
 
     worst = 0.0
     for region in ("omega_star", "phi1", "phi2", "psi"):
-        for p in sample_region(region, max(1, n // 4), rng):
-            fps = find_fixed_points(p)
-            for rpt in fps.points:
+        for p in oracles.sample_region(region, max(1, n // 4), rng):
+            for rpt in fixed_points.find_fixed_points(p).points:
                 scale = max(1.0, abs(rpt.location.x), abs(rpt.location.y))
                 worst = max(worst, rpt.residual / scale)
     check("fixed_point_residuals", worst <= 1e-10,
@@ -740,27 +689,23 @@ def cmd_verify(args) -> int:
 
     worst = 0.0
     worst_scan = 0
-    for alpha, beta in sample_invariance_pairs(max(1, n // 10), rng):
-        sp = SimplexParams(alpha, beta)
-        xs = fixed_point_u(sp)
-        worst = max(worst, abs(float(u_map(sp, xs)) - xs))
+    for alpha, beta in oracles.sample_invariance_pairs(max(1, n // 10), rng):
+        sp = simplex.SimplexParams(alpha, beta)
+        xs = simplex.fixed_point_u(sp)
+        worst = max(worst, abs(float(simplex.u_map(sp, xs)) - xs))
         if (alpha - 2.0) ** 2 + (beta - 1.0) ** 2 > 1e-3:
-            scan = grid_period_scan(lambda x: u_map(sp, x), (0.0, 1.0), 2,
-                                    grid=256)
+            scan = oracles.grid_period_scan(lambda x: simplex.u_map(sp, x),
+                                            (0.0, 1.0), 2, grid=256)
             worst_scan = max(worst_scan, len(scan))
     ok = worst <= 1e-12 and worst_scan == 0
     check("simplex_fixed_point_and_cycles", ok,
           f"worst |U(x*)-x*| {fmt(worst)}, stray 2-cycles {worst_scan}")
 
     all_ok = all(r["pass"] for r in results)
-    if args.json:
-        print(json.dumps({"checks": results, "pass": all_ok},
-                         indent=2, sort_keys=True))
-    else:
-        for r in results:
-            mark = "PASS" if r["pass"] else "FAIL"
-            print(f"{mark} {r['name']}: {r['detail']}")
-        print("verification " + ("passed" if all_ok else "FAILED"))
+    human = [f"{'PASS' if r['pass'] else 'FAIL'} {r['name']}: {r['detail']}"
+             for r in results]
+    human.append("verification " + ("passed" if all_ok else "FAILED"))
+    _emit(args, {"checks": results, "pass": all_ok}, human)
     return 0 if all_ok else 1
 
 

@@ -316,8 +316,8 @@ def boundary_report(p: Params, eps: float) -> list[str]:
     Purely informational: classification itself never uses eps.  Each entry
     names a defining comparison whose two sides differ by at most eps.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    if not eps >= 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
     thr = birth_threshold(p)
     checks = [
         ("beta vs threshold mu*(1+d0/alpha)", abs(p.beta - thr)),

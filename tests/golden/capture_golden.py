@@ -255,6 +255,20 @@ def appended() -> list[tuple[str, list[str]]]:
         ("exit2 simplex orbit budget exhausted",
          ["simplex", "--alpha", "1.99999999", "--beta", "1", "--x0", "0.1"]),
         *SWEEP_RADIUS_BRANCHES.items(),
+        # non-finite JSON numbers: x overflows to inf, then to -inf
+        *both("simulate x overflows to inf",
+              ["simulate", "--alpha", "1", "--beta", "1e300", "--mu", "0.5",
+               "--x0", "1", "--y0", "1e10", "--divergence-threshold", "inf"]),
+        *both("simulate x overflows to -inf",
+              ["simulate", "--alpha", "1", "--beta", "1", "--mu", "0.5",
+               "--d1", "1", "--x0", "1e200", "--y0", "1"]),
+        ("exit2 simplex csv without orbit",
+         ["simplex", "--alpha", "1", "--beta", "0.5", "--x0", "0.3",
+          "--csv", "{tmp}/o.csv"]),
+        ("exit2 simplex orbit without x0",
+         ["simplex", "--alpha", "1", "--beta", "0.5", "--orbit", "5",
+          "--csv", "{tmp}/o.csv"]),
+        ("exit2 classify nan eps", ["classify", *EX3, "--eps", "nan"]),
     ]
 
 

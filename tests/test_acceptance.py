@@ -21,12 +21,12 @@ from mospop.oracles import (
     fd_jacobian,
     grid_period_scan,
     sample_invariance_pairs,
-    sample_outside_pairs,
     sample_region,
 )
 from mospop.params import basic_offspring_number, birth_threshold, validate
 from mospop.simplex import SimplexParams, fixed_point_u, simplex_invariant, u_map
 from mospop.stability import FixedPointType, declared_type_table, jacobian
+from samplers import sample_outside_pairs
 
 MODULE_START = time.perf_counter()
 

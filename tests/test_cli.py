@@ -21,9 +21,50 @@ from mospop import (
     primary_region,
     validate,
 )
-from mospop.cli import MAX_SWEEP_CELLS, TOL_ENV, _parse_axis, build_parser, fmt, main
+from mospop.cli import (
+    MAX_SWEEP_CELLS,
+    TOL_ENV,
+    _json_ready,
+    _parse_axis,
+    build_parser,
+    fmt,
+    main,
+)
 
 EX3 = ["--alpha", "6", "--beta", "0.5", "--mu", "0.4", "--d0", "0.6"]
+
+
+class TestJsonReady:
+    def test_non_finite_floats_become_strings(self):
+        assert _json_ready([math.nan, math.inf, -math.inf]) == ["nan", "inf", "-inf"]
+
+    def test_finite_floats_round_to_twelve_digits(self):
+        got = _json_ready([1 / 3, 0.1 + 0.2, 1e300 / 3, 5e-324])
+        assert got == [0.333333333333, 0.3, 3.33333333333e299, 5e-324]
+
+    def test_negative_zero_keeps_its_sign(self):
+        got = _json_ready(-0.0)
+        assert got == 0.0 and math.copysign(1.0, got) == -1.0
+
+    def test_complex_becomes_re_im(self):
+        assert _json_ready(complex(2 / 3, -math.inf)) == {
+            "re": 0.666666666667, "im": "-inf"}
+        assert _json_ready(complex(math.nan, 0.0)) == {"re": "nan", "im": 0.0}
+
+    def test_bool_int_str_and_none_pass_through(self):
+        got = _json_ready([True, False, 7, -(10**30), "1/3", None])
+        assert got == [True, False, 7, -(10**30), "1/3", None]
+        assert [type(v) for v in got[:3]] == [bool, bool, int]
+
+    def test_tuples_become_lists_and_dicts_are_walked(self):
+        got = _json_ready({"a": (1 / 3, {"b": (math.inf,)}), "c": [(1, 2.5)]})
+        assert got == {"a": [0.333333333333, {"b": ["inf"]}], "c": [[1, 2.5]]}
+        assert json.dumps(got) == (
+            '{"a": [0.333333333333, {"b": ["inf"]}], "c": [[1, 2.5]]}')
+
+    def test_rounds_as_fmt_renders(self):
+        for v in (1 / 3, 2.0**-1074, 1.7976931348623157e308, -123456789.123456789):
+            assert fmt(_json_ready(v)) == fmt(v)
 
 
 def run(capsys, argv):
@@ -350,6 +391,21 @@ class TestSimplexCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: orbit still ")
         assert "after 100000 iterations" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--orbit", "5", "--csv", "o.csv"], "--orbit needs --x0"),
+        (["--x0", "0.3", "--csv", "o.csv"], "--csv needs a positive --orbit"),
+        (["--x0", "0.3", "--orbit", "0", "--csv", "o.csv"],
+         "--csv needs a positive --orbit"),
+        (["--orbit", "5"], "--orbit needs --x0"),
+    ])
+    def test_orbit_flags_that_would_be_ignored_exit_2(self, capsys, tmp_path,
+                                                      monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, ["simplex", "--alpha", "1", "--beta", "0.5",
+                                      *argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_human_shape_line(self, capsys):
         code, out, _ = run(capsys, ["simplex", "--alpha", "2", "--beta", "1"])

@@ -23,12 +23,12 @@ from mospop.oracles import (
     fd_jacobian,
     grid_period_scan,
     sample_invariance_pairs,
-    sample_outside_pairs,
     sample_region,
 )
 from mospop.params import classify
 from mospop.simplex import SimplexParams, fixed_point_u, u_map
 from mospop.stability import DegenerateAllZero, quad_roots
+from samplers import sample_outside_pairs
 
 
 def residual_scale(a, b, c, r):

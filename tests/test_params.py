@@ -163,6 +163,11 @@ def test_boundary_report_rejects_negative_eps():
         boundary_report(validate(*EX1), eps=-1e-6)
 
 
+def test_boundary_report_rejects_nan_eps():
+    with pytest.raises(ValueError, match="eps must be >= 0, got nan"):
+        boundary_report(validate(*EX1), eps=math.nan)
+
+
 def test_boundary_report_eps_zero_flags_exact_hits():
     notes = boundary_report(validate(1.0, 1.0, 1.0, 0.0, 0.0), eps=0.0)
     assert any("beta" in n and "mu" in n for n in notes)

@@ -12,7 +12,6 @@ from mospop.oracles import (
     fd_derivative,
     grid_period_scan,
     sample_invariance_pairs,
-    sample_outside_pairs,
 )
 from mospop.params import SimplexClass, validate
 from mospop.simplex import (
@@ -33,6 +32,7 @@ from mospop.simplex import (
     u_stability,
     x_minimum,
 )
+from samplers import sample_outside_pairs
 
 CORNER = SimplexParams(2.0, 1.0)
 
