@@ -39,12 +39,9 @@ SWEEP_QUANTITIES = (
 
 
 def fmt(v) -> str:
-    """12-significant-digit rendering for floats and complex numbers (as
-    re+imj), plain str otherwise."""
-    # two checks, not a tuple: a float, the hot case, then costs one
-    if isinstance(v, float) or isinstance(v, complex):
-        return format(v, ".12g")
-    return str(v)
+    """12-significant-digit rendering of a float or a complex number (as
+    re+imj)."""
+    return format(v, ".12g")
 
 
 def _json_ready(v):
@@ -412,6 +409,8 @@ def cmd_simulate(args) -> int:
 def cmd_simplex(args) -> int:
     if args.csv is not None and args.orbit <= 0:
         _usage_error("--csv needs a positive --orbit")
+    if args.orbit < 0:
+        _usage_error(f"--orbit must be >= 0, got {args.orbit}")
     if args.orbit > 0 and args.x0 is None:
         _usage_error("--orbit needs --x0")
     sp = simplex.SimplexParams(args.alpha, args.beta)
@@ -633,6 +632,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.draws < 1:
+        _usage_error(f"--draws must be at least 1, got {args.draws}")
     import numpy as np
 
     rng = np.random.default_rng(args.seed)

@@ -34,6 +34,7 @@ __all__ = [
     "FormulaTag",
     "discriminant",
     "find_fixed_points",
+    "fixed_point_locations",
     "gamma",
     "larval_quadratic",
     "phi1_point",
@@ -142,14 +143,6 @@ def _residual(p: Params, x: float, y: float) -> float:
     return max(abs(nx - x), abs(ny - y))
 
 
-def _report(p: Params, x: float, y: float, tag: FormulaTag) -> FixedPointReport:
-    return FixedPointReport(
-        location=State(x, y),
-        formula=tag,
-        residual=_residual(p, x, y),
-    )
-
-
 def _positive_quadratic_root(p: Params) -> float:
     """Positive root of d1*x**2 + (d0+d1)*x + c with c < 0.
 
@@ -162,54 +155,59 @@ def _positive_quadratic_root(p: Params) -> float:
     return -2.0 * c / (b + math.sqrt(b) * math.sqrt(b - 4.0 * (a / b) * c))
 
 
+def fixed_point_locations(
+    p: Params,
+    sample_grid: tuple[float, ...] = DEFAULT_CONTINUUM_GRID,
+) -> tuple[FixedPointKind, tuple[tuple[float, float, FormulaTag], ...]]:
+    """The kind of the fixed-point set at p and each point as (x, y, tag).
+
+    The one place that turns the primary region into fixed points:
+    find_fixed_points and stability.declared_type_table both iterate it.
+    The extinct state comes first; on the continuum the points are the
+    curve samples in sample_grid order, and the default grid starts at
+    x = 0.  No residual is formed.  Raises ValueError on a negative
+    continuum sample.
+    """
+    region = primary_region(p)
+    if region == "psi":
+        for x in sample_grid:
+            if x < 0:
+                raise ValueError("continuum sample grid must be nonnegative")
+        return FixedPointKind.CONTINUUM, tuple(
+            (float(x), float(gamma(p, float(x))), FormulaTag.CONTINUUM_SAMPLE)
+            for x in sample_grid
+        )
+
+    origin = (0.0, 0.0, FormulaTag.ORIGIN)
+    if region == "phi1":
+        return FixedPointKind.TWO_POINTS, (
+            origin, (*phi1_point(p), FormulaTag.PHI1_CLOSED_FORM))
+
+    if region == "phi2":
+        x2 = _positive_quadratic_root(p)
+        return FixedPointKind.TWO_POINTS, (
+            origin, (x2, float(gamma(p, x2)), FormulaTag.PHI2_CLOSED_FORM))
+
+    # omega_star: the quadratic has no root in the open positive axis, which
+    # covers a negative discriminant as well as negative or zero roots.
+    return FixedPointKind.SINGLE_ORIGIN, (origin,)
+
+
 def find_fixed_points(
     p: Params,
     sample_grid: tuple[float, ...] = DEFAULT_CONTINUUM_GRID,
 ) -> FixedPointSet:
     """Enumerate the fixed points of the map at p.
 
-    The returned points always include the extinct state first.  Closed
-    forms are used throughout; every report carries the max-norm residual
-    of one map step at the point.
+    The points are those of fixed_point_locations, in its order, each
+    reported with the max-norm residual of one map step at the point.
     """
-    region = primary_region(p)
-    origin = _report(p, 0.0, 0.0, FormulaTag.ORIGIN)
-    quad_disc = discriminant(p) if p.d1 != 0.0 else None
-
-    if region == "psi":
-        for x in sample_grid:
-            if x < 0:
-                raise ValueError("continuum sample grid must be nonnegative")
-        pts = tuple(
-            _report(p, float(x), float(gamma(p, float(x))), FormulaTag.CONTINUUM_SAMPLE)
-            for x in sample_grid
-        )
-        return FixedPointSet(
-            kind=FixedPointKind.CONTINUUM,
-            points=pts,
-            sample_grid=tuple(float(x) for x in sample_grid),
-        )
-
-    if region == "phi1":
-        pt = _report(p, *phi1_point(p), FormulaTag.PHI1_CLOSED_FORM)
-        return FixedPointSet(
-            kind=FixedPointKind.TWO_POINTS,
-            points=(origin, pt),
-        )
-
-    if region == "phi2":
-        x2 = _positive_quadratic_root(p)
-        pt = _report(p, x2, float(gamma(p, x2)), FormulaTag.PHI2_CLOSED_FORM)
-        return FixedPointSet(
-            kind=FixedPointKind.TWO_POINTS,
-            points=(origin, pt),
-            quad_discriminant=quad_disc,
-        )
-
-    # omega_star: the quadratic has no root in the open positive axis, which
-    # covers a negative discriminant as well as negative or zero roots.
+    kind, locations = fixed_point_locations(p, sample_grid)
+    continuum = kind is FixedPointKind.CONTINUUM
     return FixedPointSet(
-        kind=FixedPointKind.SINGLE_ORIGIN,
-        points=(origin,),
-        quad_discriminant=quad_disc,
+        kind=kind,
+        points=tuple([FixedPointReport(State(x, y), tag, _residual(p, x, y))
+                      for x, y, tag in locations]),
+        sample_grid=tuple(float(x) for x in sample_grid) if continuum else None,
+        quad_discriminant=discriminant(p) if p.d1 != 0.0 else None,
     )

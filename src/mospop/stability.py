@@ -16,15 +16,15 @@ attracting when both are < 1, repelling when both are > 1, saddle when they
 straddle 1, and non_hyperbolic when some modulus sits on the unit circle
 (within a small band, since equality rarely survives rounding).
 
-declared_type_table() reproduces the closed-form type assignments that hold
-on the quadrant-preserving parameter sets, and records per point whether the
-numeric classification agrees.  Two structural caveats apply and are kept
-visible rather than patched over:
+declared_type_table() labels each fixed point that
+fixed_points.fixed_point_locations enumerates on the quadrant-preserving
+sets with the paper's closed-form type, looked up by the point's FormulaTag,
+and records whether the numeric type agrees.  Two structural caveats apply
+and are kept visible rather than patched over:
 
  * on the fixed-point continuum (psi_star) the tangent direction always
-   carries eigenvalue exactly 1, so the numeric type is non_hyperbolic and
-   agreement is judged against the coarse three-way modulus split, where the
-   curve points land in "saddle";
+   carries eigenvalue exactly 1, so the numeric type is non_hyperbolic; the
+   agreement test reads non_hyperbolic as saddle, the paper's label there;
  * the blanket "saddle" assignment for the origin above the birth threshold
    overreaches: for alpha*beta > (2 - mu)*(2 - alpha - d0) both moduli
    exceed 1 and the origin is repelling.  The table reports the declared
@@ -40,8 +40,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .dynamics import State
-from .fixed_points import DEFAULT_CONTINUUM_GRID, _residual, gamma, phi1_point
-from .params import Params, birth_threshold, preserves_quadrant, primary_region
+from .fixed_points import FormulaTag, _residual, fixed_point_locations
+from .params import Params, birth_threshold, preserves_quadrant
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,7 +57,6 @@ __all__ = [
     "characteristic_roots",
     "check_fixed_point",
     "classify_fixed_point",
-    "coarse_type",
     "declared_type_table",
     "eigenvalues",
     "f_value",
@@ -307,19 +306,6 @@ def modulus_type(eigs: tuple[complex, complex]) -> FixedPointType:
     return FixedPointType.SADDLE
 
 
-def coarse_type(eigs: tuple[complex, complex]) -> FixedPointType:
-    """Three-way type: modulus_type with non_hyperbolic read as saddle.
-
-    This is the split the declared tables use, where a modulus on the unit
-    circle, within the same UNIT_CIRCLE_TOL band, falls into "saddle"
-    rather than a separate non-hyperbolic bucket.
-    """
-    fp_type = modulus_type(eigs)
-    if fp_type is FixedPointType.NON_HYPERBOLIC:
-        return FixedPointType.SADDLE
-    return fp_type
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Linearization data at one fixed point.
@@ -404,46 +390,40 @@ class DeclaredType:
 
     declared is None on the threshold equality beta = mu*(1 + d0/alpha),
     where the strict-inequality table is silent and typing defers to the
-    numeric classifier.  coarse is the numeric type with non_hyperbolic (a
-    modulus within the unit-circle band) read as saddle, and agrees compares
-    declared against it.
+    numeric classifier.  agrees compares declared with numeric, where
+    non_hyperbolic (a modulus within the unit-circle band) counts as saddle.
     """
 
     location: State
     declared: Optional[FixedPointType]
     numeric: FixedPointType
-    coarse: FixedPointType
     agrees: bool
     note: str
 
 
-def _audit(p: Params, x: float, y: float,
-           declared: Optional[FixedPointType], note: str) -> DeclaredType:
-    report = classify_fixed_point(p, (x, y), tol=1e-7)
-    coarse = coarse_type(report.eigenvalues)
-    return DeclaredType(
-        location=State(x, y),
-        declared=declared,
-        numeric=report.type,
-        coarse=coarse,
-        agrees=declared is None or declared is coarse,
-        note=note,
-    )
+# the paper's label for each closed form but the origin; d1 = 0 on the
+# quadrant-preserving sets rules phi2 out
+_DECLARED_BY_TAG = {
+    FormulaTag.PHI1_CLOSED_FORM: (FixedPointType.ATTRACTING, "positive fixed point"),
+    FormulaTag.CONTINUUM_SAMPLE: (FixedPointType.SADDLE,
+                                  "continuum sample; tangent eigenvalue is exactly 1"),
+}
 
 
 def declared_type_table(p: Params) -> tuple[DeclaredType, ...]:
     """Closed-form stability table on the quadrant-preserving sets.
 
     Requires the quadrant-preservation inequalities (raises
-    OutsideDeclaredRegion otherwise).  Cases:
+    OutsideDeclaredRegion otherwise).  One row per point of
+    fixed_point_locations(p), in its order, labelled by formula:
 
-      theta_star + below threshold   origin attracting
-      theta_star + above threshold   origin declared saddle (see module
-                                     docstring for the known overreach)
-      theta_star + threshold equality  declared None, deferred to numeric
-      phi_star                       origin saddle, positive point attracting
-      psi_star                       every sample of DEFAULT_CONTINUUM_GRID
-                                     on the curve declared saddle
+      origin, below threshold        attracting
+      origin, above threshold        saddle (see module docstring for the
+                                     known overreach)
+      origin, threshold equality     None, deferred to numeric
+      phi1 closed form (phi_star)    attracting
+      continuum sample (psi_star)    saddle, at every point of
+                                     DEFAULT_CONTINUUM_GRID
 
     Each entry carries the numeric audit; no exception is raised on
     disagreement so the table stays usable where the closed forms fail.
@@ -452,30 +432,18 @@ def declared_type_table(p: Params) -> tuple[DeclaredType, ...]:
         raise OutsideDeclaredRegion(
             "declared types require d1 = 0, alpha <= 1 - d0, mu <= 1, d0 < 1"
         )
-
-    # inside the quadrant-preserving set psi is psi_star, phi1 is phi_star
-    # and omega_star is theta_star; d1 = 0 rules phi2 out
-    region = primary_region(p)
-    if region == "psi":
-        return tuple(
-            _audit(p, x, float(gamma(p, x)), FixedPointType.SADDLE,
-                   "continuum sample; tangent eigenvalue is exactly 1")
-            for x in DEFAULT_CONTINUUM_GRID
-        )
-
-    if region == "phi1":
-        x2, y2 = phi1_point(p)
-        return (
-            _audit(p, 0.0, 0.0, FixedPointType.SADDLE, "origin above threshold"),
-            _audit(p, x2, y2, FixedPointType.ATTRACTING, "positive fixed point"),
-        )
-
-    # theta_star
     thr = birth_threshold(p)
     if p.beta < thr:
-        declared, note = FixedPointType.ATTRACTING, "origin below threshold"
+        origin = FixedPointType.ATTRACTING, "origin below threshold"
     elif p.beta > thr:
-        declared, note = FixedPointType.SADDLE, "origin above threshold"
+        origin = FixedPointType.SADDLE, "origin above threshold"
     else:
-        declared, note = None, "threshold equality; deferred to numeric"
-    return (_audit(p, 0.0, 0.0, declared, note),)
+        origin = None, "threshold equality; deferred to numeric"
+    rows = []
+    for x, y, tag in fixed_point_locations(p)[1]:
+        declared, note = origin if tag is FormulaTag.ORIGIN else _DECLARED_BY_TAG[tag]
+        numeric = classify_fixed_point(p, (x, y), tol=1e-7).type
+        agrees = declared is None or declared is (
+            FixedPointType.SADDLE if numeric is FixedPointType.NON_HYPERBOLIC else numeric)
+        rows.append(DeclaredType(State(x, y), declared, numeric, agrees, note))
+    return tuple(rows)

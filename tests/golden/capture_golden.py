@@ -269,6 +269,10 @@ def appended() -> list[tuple[str, list[str]]]:
          ["simplex", "--alpha", "1", "--beta", "0.5", "--orbit", "5",
           "--csv", "{tmp}/o.csv"]),
         ("exit2 classify nan eps", ["classify", *EX3, "--eps", "nan"]),
+        ("exit2 verify no draws", ["verify", "--draws", "0"]),
+        ("exit2 simplex negative orbit",
+         ["simplex", "--alpha", "1", "--beta", "0.5", "--x0", "0.3",
+          "--orbit", "-3", "--json"]),
     ]
 
 

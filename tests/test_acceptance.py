@@ -144,7 +144,7 @@ def test_criterion_07_declared_types_match_moduli_on_the_provable_sets():
     for p in sample_region("psi_star", 1000, rng):
         for row in declared_type_table(p):
             assert row.declared is FixedPointType.SADDLE
-            assert row.coarse is FixedPointType.SADDLE
+            assert row.numeric is FixedPointType.NON_HYPERBOLIC
             assert row.agrees, p
 
     ok(7, "1000 draws per wedge; declared types agree with the modulus "

@@ -398,6 +398,9 @@ class TestSimplexCommand:
         (["--x0", "0.3", "--orbit", "0", "--csv", "o.csv"],
          "--csv needs a positive --orbit"),
         (["--orbit", "5"], "--orbit needs --x0"),
+        (["--x0", "0.3", "--orbit", "-3", "--json"], "--orbit must be >= 0, got -3"),
+        (["--x0", "0.3", "--orbit", "-3", "--csv", "o.csv"],
+         "--csv needs a positive --orbit"),
     ])
     def test_orbit_flags_that_would_be_ignored_exit_2(self, capsys, tmp_path,
                                                       monkeypatch, argv, message):
@@ -597,6 +600,11 @@ class TestSweep:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_fewer_than_one_draw_exit_2(self, capsys, draws):
+        code, out, err = run(capsys, ["verify", "--draws", draws])
+        assert (code, out, err) == (2, "", f"error: --draws must be at least 1, got {draws}\n")
+
     def test_passes_and_prints_one_line_per_check(self, capsys):
         code, out, _ = run(capsys, ["verify"])
         assert code == 0

@@ -13,6 +13,7 @@ from mospop.fixed_points import (
     FormulaTag,
     discriminant,
     find_fixed_points,
+    fixed_point_locations,
     gamma,
     phi1_point,
 )
@@ -66,6 +67,31 @@ class TestGamma:
             gamma(EX3, np.array([[0.5], [-3.0]]))
         with pytest.raises(ValueError):
             gamma(EX3, np.float64(-1.0))
+
+
+class TestFixedPointLocations:
+    @pytest.mark.parametrize("p, kind, tags", [
+        (EX1, FixedPointKind.SINGLE_ORIGIN, [FormulaTag.ORIGIN]),
+        (EX3, FixedPointKind.TWO_POINTS, [FormulaTag.ORIGIN, FormulaTag.PHI1_CLOSED_FORM]),
+        (PHI2, FixedPointKind.TWO_POINTS, [FormulaTag.ORIGIN, FormulaTag.PHI2_CLOSED_FORM]),
+        (PSI, FixedPointKind.CONTINUUM,
+         [FormulaTag.CONTINUUM_SAMPLE] * len(DEFAULT_CONTINUUM_GRID)),
+    ], ids=["omega_star", "phi1", "phi2", "psi"])
+    def test_kind_tags_and_order_per_primary_region(self, p, kind, tags):
+        got_kind, locations = fixed_point_locations(p)
+        assert got_kind is kind
+        assert [tag for _, _, tag in locations] == tags
+        assert locations[0][:2] == (0.0, 0.0)
+        if kind is FixedPointKind.CONTINUUM:
+            assert tuple(x for x, _, _ in locations) == DEFAULT_CONTINUUM_GRID
+        else:
+            assert all(x > 0.0 and y > 0.0 for x, y, _ in locations[1:])
+        assert [(x, y) for x, y, _ in locations] == [
+            tuple(pt.location) for pt in find_fixed_points(p).points]
+
+    def test_continuum_grid_must_stay_in_domain(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fixed_point_locations(PSI, sample_grid=(0.0, -0.5))
 
 
 class TestFindFixedPoints:
