@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 from . import dynamics, fixed_points, oracles, params, simplex, stability
 
 TOL_ENV = "MOSPOP_TOL"
+NUMBER_FORMAT = ".12g"  # every number printed: 12 significant digits
 MAX_SWEEP_CELLS = 10**7
 SWEEP_QUANTITIES = (
     "region",
@@ -39,9 +40,8 @@ SWEEP_QUANTITIES = (
 
 
 def fmt(v) -> str:
-    """12-significant-digit rendering of a float or a complex number (as
-    re+imj)."""
-    return format(v, ".12g")
+    """v in NUMBER_FORMAT: a float, or a complex number as re+imj."""
+    return format(v, NUMBER_FORMAT)
 
 
 def _json_ready(v):
@@ -533,8 +533,9 @@ def _parse_axis(spec: str) -> tuple[str, float, float, int]:
 _COUNT_BY_REGION = ("1", "2", "2", "inf")
 
 
-def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list[str]:
-    """Rendered cells in row-major order.
+def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list:
+    """Cells in row-major order: floats, or strings for region and
+    fixed_point_count.
 
     grid maps each rate to a float or to an array broadcasting to shape.
     Region, count, r0 and the spectral radius are evaluated once over the
@@ -546,19 +547,17 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list[str]
         return np.broadcast_to(v, shape).ravel().tolist()
 
     if quantity == "x_star":
-        xs = map(simplex.fixed_point_u_of, flat(grid["alpha"]), flat(grid["beta"]))
-        return [fmt(x) for x in xs]
+        return list(map(simplex.fixed_point_u_of, flat(grid["alpha"]), flat(grid["beta"])))
     alpha, beta, mu, d0, d1 = (grid[name] for name in params.RATES)
     if quantity in ("region", "fixed_point_count"):
         names = params.PRIMARY_REGIONS if quantity == "region" else _COUNT_BY_REGION
         index = params.primary_region_index(alpha, beta, mu, d0, d1)
         return flat(np.array(names, dtype=object)[index])
     if quantity == "r0":
-        return [fmt(v) for v in flat(params.offspring_number_of(alpha, beta, mu, d0))]
+        return flat(params.offspring_number_of(alpha, beta, mu, d0))
     if quantity == "spectral_radius_at_origin":
         entries = stability.jacobian_entries(alpha, beta, mu, d0, d1, 0.0)
-        radius = stability.spectral_radius_of(*stability.trace_det(*entries))
-        return [fmt(v) for v in flat(radius)]
+        return flat(stability.spectral_radius_of(*stability.trace_det(*entries)))
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
@@ -583,9 +582,7 @@ def cmd_sweep(args) -> int:
                          f"{args.quantity!r}")
 
     shape = (n1, n2)
-    grid = dict(fixed)
-    grid[name1] = np.array(vals1)[:, None]
-    grid[name2] = np.array(vals2)
+    grid = dict(fixed, **{name1: np.array(vals1)[:, None], name2: np.array(vals2)})
     # x* takes SimplexParams(alpha, beta), which embeds as the rates
     # (alpha, beta, beta, 0, 0).  The first cell outside the domain goes
     # through the scalar constructor, which raises the error reported.
@@ -602,21 +599,22 @@ def cmd_sweep(args) -> int:
     with np.errstate(all="ignore"):
         cells = _sweep_cells(args.quantity, grid, shape)
 
-    heads = [fmt(v) + "," for v in vals1]
-    cols = [fmt(v) + "," for v in vals2]
-    lines = [f"{name1},{name2},{args.quantity}"]
-    for i, head in enumerate(heads):
-        row = cells[i * shape[1]:(i + 1) * shape[1]]
-        lines.append("\n".join([head + col + cell for col, cell in zip(cols, row)]))
-    text = "\n".join(lines) + "\n"
+    # One % per grid row: the template holds the column values, and the
+    # row's value is joined in before each line ("%.12g" % v is fmt(v)).
+    strings = isinstance(cells[0], str)
+    pieces = [f",{fmt(v)},%{'s' if strings else NUMBER_FORMAT}\n" for v in vals2]
+    text = f"{name1},{name2},{args.quantity}\n" + "".join([
+        (head + head.join(pieces)) % tuple(cells[i * n2:(i + 1) * n2])
+        for i, head in enumerate(map(fmt, vals1))])
     if args.output == "-":
         sys.stdout.write(text)
     else:
         _write(args.output, text)
         if args.json:
-            # only the axis values need rounding: the cells are strings
+            # the cells print as strings, as in the CSV
             grid_points = itertools.product(_json_ready(vals1), _json_ready(vals2))
-            rows = [[v1, v2, cell] for (v1, v2), cell in zip(grid_points, cells)]
+            rows = [[v1, v2, c if strings else fmt(c)]
+                    for (v1, v2), c in zip(grid_points, cells)]
             print(json.dumps(
                 {"axis1": name1, "axis2": name2, "quantity": args.quantity,
                  "cells": len(cells), "output": args.output, "rows": rows},
@@ -634,6 +632,8 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     if args.draws < 1:
         _usage_error(f"--draws must be at least 1, got {args.draws}")
+    if args.seed < 0:
+        _usage_error(f"--seed must be >= 0, got {args.seed}")
     import numpy as np
 
     rng = np.random.default_rng(args.seed)
@@ -740,7 +740,8 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Every subcommand; given a command, only its subparser gets options."""
     parser = _Parser(
         prog="mospop",
         description="Analysis toolkit for a discrete-time two-stage "
@@ -749,15 +750,21 @@ def build_parser() -> argparse.ArgumentParser:
         "tolerance (1e-9).",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # an unreached subparser keeps its name and help, so help reads the same
+    unreached = argparse.Namespace(add_argument=lambda *args, **kwargs: None)
 
-    s = subs.add_parser("classify", help="region membership and r0")
+    def sub(name: str, summary: str, func) -> argparse.ArgumentParser:
+        s = subs.add_parser(name, help=summary)
+        s.set_defaults(func=func)
+        return s if command in (None, name) else unreached
+
+    s = sub("classify", "region membership and r0", cmd_classify)
     _add_param_flags(s)
     s.add_argument("--eps", type=float, default=None,
                    help="also list boundaries within eps (report only)")
     s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_classify)
 
-    s = subs.add_parser("fixed-points", help="enumerate fixed points")
+    s = sub("fixed-points", "enumerate fixed points", cmd_fixed_points)
     _add_param_flags(s)
     s.add_argument("--samples", type=int, default=None,
                    help="evenly spaced curve samples for the continuum case "
@@ -765,9 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--verify", action="store_true",
                    help="cross-check residuals with the oracle routines")
     s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_fixed_points)
 
-    s = subs.add_parser("stability", help="linearize and type fixed points")
+    s = sub("stability", "linearize and type fixed points", cmd_stability)
     _add_param_flags(s)
     s.add_argument("--at", type=float, nargs=2, metavar=("X", "Y"),
                    default=None, help="classify this state instead of all "
@@ -777,9 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--verify", action="store_true",
                    help="cross-check with finite differences and LAPACK")
     s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_stability)
 
-    s = subs.add_parser("simulate", help="iterate the map from a state")
+    s = sub("simulate", "iterate the map from a state", cmd_simulate)
     _add_param_flags(s)
     s.add_argument("--x0", type=float, required=True)
     s.add_argument("--y0", type=float, required=True)
@@ -794,9 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--svg", type=str, default=None,
                    help="write a trajectory plot to this SVG file")
     s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_simulate)
 
-    s = subs.add_parser("simplex", help="matched-rates case on the simplex")
+    s = sub("simplex", "matched-rates case on the simplex", cmd_simplex)
     s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--beta", type=float, required=True)
     s.add_argument("--x0", type=float, default=None,
@@ -808,9 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--verify", action="store_true",
                    help="cross-check with the oracle routines")
     s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_simplex)
 
-    s = subs.add_parser("sweep", help="tabulate a quantity over a 2D grid")
+    s = sub("sweep", "tabulate a quantity over a 2D grid", cmd_sweep)
     s.add_argument("--axis1", type=str, required=True,
                    help="first axis as name:lo:hi:step (rows)")
     s.add_argument("--axis2", type=str, required=True,
@@ -828,20 +831,19 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("d0", "d1"):
         s.add_argument(f"--{name}", type=float, default=0.0,
                        help=f"fixed {name} when it is not an axis (default 0)")
-    s.set_defaults(func=cmd_sweep)
 
-    s = subs.add_parser("verify", help="run the oracle cross-check suite")
+    s = sub("verify", "run the oracle cross-check suite", cmd_verify)
     s.add_argument("--seed", type=int, default=20260821)
     s.add_argument("--draws", type=int, default=300)
     s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argv[0] names the command unless it is an option such as -h
+    args = build_parser(argv[0] if argv and argv[0][:1] != "-" else None).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

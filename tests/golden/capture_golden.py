@@ -13,8 +13,8 @@ of its path, so the data does not depend on where it ran.
 The argument lists of the benchmark's cold_cli workload (seeds 1-5) and the
 tiny grid_sweep grids (seed 1) are stored literally, so the replay never
 needs perfbench.  Entries whose numbers come from numpy's LAPACK or random
-streams (stability --verify, verify) record the numpy version they were
-captured with.
+streams (stability --verify, verify, unless they exit 2) record the numpy
+version they were captured with.
 
 Recapture only on purpose: every golden byte a change moves must be named
 in CHANGES.md.
@@ -70,9 +70,12 @@ def run_cli(argv: list[str]) -> dict:
         }
 
 
-def numpy_dependent(argv: list[str]) -> bool:
-    """True when the output holds numbers from numpy's LAPACK or RNG."""
-    return argv[0] == "verify" or (argv[0] == "stability" and "--verify" in argv)
+def numpy_dependent(argv: list[str], code: int) -> bool:
+    """True when the output holds numbers from numpy's LAPACK or RNG: a
+    verify run or a stability --verify run that got past its input checks
+    (an exit 2 prints only the error, which numpy computed nothing for)."""
+    return code in (0, 1) and (
+        argv[0] == "verify" or (argv[0] == "stability" and "--verify" in argv))
 
 
 def both(name: str, argv: list[str]) -> list[tuple[str, list[str]]]:
@@ -273,7 +276,25 @@ def appended() -> list[tuple[str, list[str]]]:
         ("exit2 simplex negative orbit",
          ["simplex", "--alpha", "1", "--beta", "0.5", "--x0", "0.3",
           "--orbit", "-3", "--json"]),
+        *SWEEP_SHAPES.items(),
+        ("exit2 verify negative seed", ["verify", "--seed", "-1", "--draws", "5"]),
     ]
+
+
+# One-row, one-column and one-cell grids, each for a float quantity and a
+# string one: the edges of the CSV's row and column loops.
+SWEEP_SHAPES = {
+    f"sweep {quantity} {shape} grid": ["sweep", "--axis1", axis1, "--axis2", axis2,
+                                        "--quantity", quantity, *fixed,
+                                        "--output", "-"]
+    for shape, (axis1, axis2) in {
+        "1x1": ("alpha:0.7:0.7:0.1", "beta:0.3:0.3:0.1"),
+        "1x4": ("alpha:0.7:0.7:0.1", "beta:0.1:0.4:0.1"),
+        "4x1": ("alpha:0.1:0.4:0.1", "beta:0.3:0.3:0.1"),
+    }.items()
+    for quantity, fixed in (("x_star", []),
+                            ("region", ["--mu", "0.2", "--d0", "0.1"]))
+}
 
 
 # Spectral-radius sweeps with cells where the discriminant tr*tr - 4*det of
@@ -301,7 +322,7 @@ def capture() -> list[dict]:
     entries = []
     for name, argv in curated() + benchmark_argvs() + appended():
         entry = {"name": name, "argv": argv, **run_cli(argv)}
-        if numpy_dependent(argv):
+        if numpy_dependent(argv, entry["exit"]):
             entry["numpy"] = np.__version__
         entries.append(entry)
     names = [e["name"] for e in entries]

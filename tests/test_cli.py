@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mospop import (
     FixedPointKind,
@@ -23,6 +25,7 @@ from mospop import (
 )
 from mospop.cli import (
     MAX_SWEEP_CELLS,
+    NUMBER_FORMAT,
     TOL_ENV,
     _json_ready,
     _parse_axis,
@@ -65,6 +68,18 @@ class TestJsonReady:
     def test_rounds_as_fmt_renders(self):
         for v in (1 / 3, 2.0**-1074, 1.7976931348623157e308, -123456789.123456789):
             assert fmt(_json_ready(v)) == fmt(v)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(-0.0)
+@example(5e-324)
+@example(1e300)
+@example(0.1)
+@example(1e16)
+def test_percent_template_renders_as_fmt(v):
+    # the sweep CSV renders float cells with a %-template, everything else
+    # with fmt; the two conversions must agree on every float
+    assert ("%" + NUMBER_FORMAT) % v == fmt(v)
 
 
 def run(capsys, argv):
@@ -251,12 +266,15 @@ REQUIRED = {
 }
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _float_options():
-    subs = next(a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
     return [pytest.param(command, action.option_strings[0], action.nargs,
                          action.dest, id=f"{command} {action.option_strings[0]}")
-            for command, sub in subs.choices.items()
+            for command, sub in _subparsers(build_parser()).items()
             for action in sub._actions if action.type is float]
 
 
@@ -282,6 +300,23 @@ class TestNegativeNumbers:
                                       "--mu", "0.5", "--x0", "-1e-3", "--y0", "1"])
         assert code == 0, err
         assert out.startswith("verdict: converged")
+
+
+@pytest.mark.parametrize("command", REQUIRED)
+class TestParserForOneCommand:
+    """main builds only the named subcommand's options; nothing it prints or
+    parses may differ from the parser with every subcommand's options."""
+
+    def test_help_matches_the_full_parser(self, command):
+        full, one = build_parser(), build_parser(command)
+        assert one.format_help() == full.format_help()
+        assert one.format_usage() == full.format_usage()
+        assert (_subparsers(one)[command].format_help()
+                == _subparsers(full)[command].format_help())
+
+    def test_parses_as_the_full_parser(self, command):
+        argv = [command, *REQUIRED[command]]
+        assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
 
 
 class TestSimulate:

@@ -20,7 +20,11 @@ import pytest
 
 GOLDEN = Path(__file__).with_name("golden")
 sys.path.insert(0, str(GOLDEN))
-from capture_golden import SWEEP_RADIUS_BRANCHES, run_cli  # noqa: E402
+from capture_golden import (  # noqa: E402
+    SWEEP_RADIUS_BRANCHES,
+    numpy_dependent,
+    run_cli,
+)
 
 from mospop.cli import _parse_axis  # noqa: E402
 from mospop.params import RATES  # noqa: E402
@@ -64,6 +68,13 @@ def test_entries_cover_every_subcommand_in_both_modes():
                     "simplex", "sweep", "verify"):
         assert {(command, False), (command, True)} <= seen
     assert {e["exit"] for e in ENTRIES} == {0, 2, 3}
+
+
+def test_only_output_computed_with_numpy_carries_a_numpy_tag():
+    tagged = {e["name"] for e in ENTRIES if "numpy" in e}
+    assert tagged == {e["name"] for e in ENTRIES
+                      if numpy_dependent(e["argv"], e["exit"])}
+    assert "exit2 verify no draws" not in tagged and "verify" in tagged
 
 
 def _origin_discriminants(argv: list[str]) -> list[float]:
