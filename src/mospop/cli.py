@@ -18,18 +18,22 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import re
 import sys
 from typing import Optional, Sequence
 
-from . import dynamics, fixed_points, oracles, params, simplex, stability
+# The library modules are imported by the subcommands that call them, so a
+# start loads only what its subcommand runs.  oracles stays here: the
+# benchmark's tracer looks it up in sys.modules after `import mospop.cli`.
+from . import oracles
 
 TOL_ENV = "MOSPOP_TOL"
 NUMBER_FORMAT = ".12g"  # every number printed: 12 significant digits
-MAX_SWEEP_CELLS = 10**7
+# the most values one invocation builds: sweep cells, continuum samples or
+# U iterates; a larger request is a usage error, raised before any is built
+MAX_VALUES = 10**7
 SWEEP_QUANTITIES = (
     "region",
     "r0",
@@ -87,11 +91,15 @@ def _write(path: str, text: str) -> None:
 
 
 def _params_from_args(args) -> params.Params:
+    from . import params
+
     return params.validate(args.alpha, args.beta, args.mu, args.d0, args.d1)
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
     if args.json:
+        import json
+
         print(json.dumps(_json_ready(payload), indent=2, sort_keys=True))
     else:
         for line in human:
@@ -104,11 +112,13 @@ def _emit(args, payload: dict, human: list[str]) -> None:
 
 
 def cmd_classify(args) -> int:
+    from . import params
+
     p = _params_from_args(args)
     label = params.classify(p)
-    flags = {k: v for k, v in vars(label).items() if k.startswith("in_")}
+    flags = {k: v for k, v in label._asdict().items() if k.startswith("in_")}
     payload = {
-        "params": dict(zip(params.RATES, p.astuple())),
+        "params": p._asdict(),
         "primary_region": params.primary_region(p),
         "flags": flags,
         "simplex_class": label.simplex_class.value,
@@ -150,11 +160,15 @@ def _point_payload(report) -> dict:
 
 
 def cmd_fixed_points(args) -> int:
+    from . import fixed_points
+
     p = _params_from_args(args)
     grid = fixed_points.DEFAULT_CONTINUUM_GRID
     if args.samples is not None:
         if args.samples < 2:
             _usage_error("--samples must be at least 2")
+        if args.samples > MAX_VALUES:
+            _usage_error(f"--samples must be at most {MAX_VALUES}, got {args.samples}")
         hi = grid[-1]
         grid = tuple(hi * k / (args.samples - 1) for k in range(args.samples))
     fps = fixed_points.find_fixed_points(p, sample_grid=grid)
@@ -205,6 +219,8 @@ def _fd_jacobian_error(p: params.Params, z, jac) -> float:
     the map at z, relative to max(1, largest |entry| of jac)."""
     import numpy as np
 
+    from . import dynamics
+
     fd = oracles.fd_jacobian(lambda x, y: dynamics.step(p, (x, y)), z)
     return float(np.max(np.abs(fd - jac)) / max(1.0, float(np.max(np.abs(jac)))))
 
@@ -220,6 +236,8 @@ def _lapack_eigenvalue_gap(jac, eigs) -> float:
 
 
 def _stability_payload(p: params.Params, z, tol: float, want_verify: bool) -> dict:
+    from . import stability
+
     report = stability.classify_fixed_point(p, z, tol=tol)
     lam1, lam2 = report.eigenvalues
     j00, j01, j10, j11 = report.jacobian_entries
@@ -242,6 +260,8 @@ def _stability_payload(p: params.Params, z, tol: float, want_verify: bool) -> di
 
 
 def cmd_stability(args) -> int:
+    from . import fixed_points, params, stability
+
     p = _params_from_args(args)
     tol = _tol(args)
     if args.at is not None:
@@ -358,14 +378,16 @@ def render_trajectory_svg(samples) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from . import dynamics
+
     p = _params_from_args(args)
-    result = dynamics.orbit(
-        p,
-        (args.x0, args.y0),
-        max_iter=args.iters,
-        tol=_tol(args, env=True),
-        divergence_threshold=args.divergence_threshold,
-    )
+    if args.iters < 1:
+        _usage_error(f"--iters must be at least 1, got {args.iters}")
+    tol = _tol(args, env=True)
+    if not args.divergence_threshold > 0:
+        _usage_error(f"--divergence-threshold must be > 0, got {args.divergence_threshold}")
+    result = dynamics.orbit(p, (args.x0, args.y0), max_iter=args.iters, tol=tol,
+                            divergence_threshold=args.divergence_threshold)
     final_n, final_s = result.samples[-1]
     payload = {
         "verdict": result.verdict.value,
@@ -407,10 +429,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_simplex(args) -> int:
+    from . import simplex
+
     if args.csv is not None and args.orbit <= 0:
         _usage_error("--csv needs a positive --orbit")
     if args.orbit < 0:
         _usage_error(f"--orbit must be >= 0, got {args.orbit}")
+    if args.orbit > MAX_VALUES:
+        _usage_error(f"--orbit must be at most {MAX_VALUES}, got {args.orbit}")
     if args.orbit > 0 and args.x0 is None:
         _usage_error("--orbit needs --x0")
     sp = simplex.SimplexParams(args.alpha, args.beta)
@@ -511,9 +537,11 @@ def cmd_simplex(args) -> int:
 def _parse_axis(spec: str) -> tuple[str, float, float, int]:
     """(name, lo, step, count) of the axis spec name:lo:hi:step.
 
-    count is capped at MAX_SWEEP_CELLS + 1, so a huge or overflowing span
+    count is capped at MAX_VALUES + 1, so a huge or overflowing span
     fails the grid size check in cmd_sweep without building any values.
     """
+    from . import params
+
     try:
         name, lo, hi, step_ = spec.split(":")
         lo, hi, step_ = float(lo), float(hi), float(step_)
@@ -526,7 +554,7 @@ def _parse_axis(spec: str) -> tuple[str, float, float, int]:
     if step_ <= 0 or hi < lo:
         _usage_error(f"empty axis range in {spec!r}")
     span = (hi - lo) / step_ + 1e-9
-    return name, lo, step_, int(min(span, MAX_SWEEP_CELLS)) + 1
+    return name, lo, step_, int(min(span, MAX_VALUES)) + 1
 
 
 # what find_fixed_points returns on each of PRIMARY_REGIONS, as a count
@@ -543,10 +571,14 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list:
     """
     import numpy as np
 
+    from . import params
+
     def flat(v) -> list:
         return np.broadcast_to(v, shape).ravel().tolist()
 
     if quantity == "x_star":
+        from . import simplex
+
         return list(map(simplex.fixed_point_u_of, flat(grid["alpha"]), flat(grid["beta"])))
     alpha, beta, mu, d0, d1 = (grid[name] for name in params.RATES)
     if quantity in ("region", "fixed_point_count"):
@@ -556,6 +588,8 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list:
     if quantity == "r0":
         return flat(params.offspring_number_of(alpha, beta, mu, d0))
     if quantity == "spectral_radius_at_origin":
+        from . import stability
+
         entries = stability.jacobian_entries(alpha, beta, mu, d0, d1, 0.0)
         return flat(stability.spectral_radius_of(*stability.trace_det(*entries)))
     raise ValueError(f"unknown quantity {quantity!r}")
@@ -564,13 +598,15 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list:
 def cmd_sweep(args) -> int:
     import numpy as np
 
+    from . import params
+
     name1, lo1, step1, n1 = _parse_axis(args.axis1)
     name2, lo2, step2, n2 = _parse_axis(args.axis2)
     if name1 == name2:
         _usage_error("the two axes must name distinct parameters")
-    if n1 * n2 > MAX_SWEEP_CELLS:
+    if n1 * n2 > MAX_VALUES:
         _usage_error(f"the grid {args.axis1} x {args.axis2} has more than "
-                     f"{MAX_SWEEP_CELLS} cells")
+                     f"{MAX_VALUES} cells")
     vals1 = [lo1 + k * step1 for k in range(n1)]
     vals2 = [lo2 + k * step2 for k in range(n2)]
 
@@ -593,6 +629,8 @@ def cmd_sweep(args) -> int:
         i, j = divmod(int(np.argmin(ok)), shape[1])
         bad = dict(fixed, **{name1: vals1[i], name2: vals2[j]})
         if x_star:
+            from . import simplex
+
             simplex.SimplexParams(bad["alpha"], bad["beta"])
         else:
             params.validate(*(bad[name] for name in params.RATES))
@@ -611,6 +649,8 @@ def cmd_sweep(args) -> int:
     else:
         _write(args.output, text)
         if args.json:
+            import json
+
             # the cells print as strings, as in the CSV
             grid_points = itertools.product(_json_ready(vals1), _json_ready(vals2))
             rows = [[v1, v2, c if strings else fmt(c)]
@@ -635,6 +675,8 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         _usage_error(f"--seed must be >= 0, got {args.seed}")
     import numpy as np
+
+    from . import fixed_points, params, simplex, stability
 
     rng = np.random.default_rng(args.seed)
     n = args.draws

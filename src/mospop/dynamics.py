@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
@@ -55,8 +54,7 @@ class OrbitVerdict(Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(NamedTuple):
     """Outcome of iterating the map from one initial state.
 
     samples holds exact iterates (n, state): every step up to 1000, then a
@@ -138,7 +136,9 @@ def orbit(
                   (every 997 steps), so it can be reported up to 996 steps
                   after the cycle starts;
       undecided   max_iter exhausted, or the orbit left the domain x > -1,
-                  or coordinates stopped being finite.
+                  or coordinates stopped being finite, or a step returned
+                  its state bit for bit away from every fixed point (the
+                  float map stalls there; iteration stops at that step).
 
     The fixed points are looked up only at the first step that moves less
     than tol, so orbits that never get there never compute them; that is
@@ -151,7 +151,7 @@ def orbit(
     if not (divergence_threshold > 0):
         raise ValueError("divergence_threshold must be > 0")
 
-    a, b, m, d0, d1 = p.astuple()
+    a, b, m, d0, d1 = p
     x, y = float(z0[0]), float(z0[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"initial state must be finite, got ({x}, {y})")
@@ -220,6 +220,10 @@ def orbit(
                 verdict = OrbitVerdict.CONVERGED
                 limit = target
                 x, y = xn, yn
+                break
+            if xn == x and yn == y:
+                # the float map fixes this state, so every later step would
+                # return it too: undecided now rather than at max_iter
                 break
             if n == next_scan:
                 next_scan += _FULL_SCAN_STRIDE

@@ -18,9 +18,8 @@ classification of the quadratic decides what else exists:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .dynamics import State, step
 from .params import Params, primary_region
@@ -112,8 +111,7 @@ class FormulaTag(Enum):
     CONTINUUM_SAMPLE = "continuum_sample"
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(NamedTuple):
     """One fixed point with its provenance and its one-step residual."""
 
     location: State
@@ -121,8 +119,7 @@ class FixedPointReport:
     residual: float
 
 
-@dataclass(frozen=True)
-class FixedPointSet:
+class FixedPointSet(NamedTuple):
     """All fixed points of the map for one parameter vector.
 
     For the continuum kind, points holds samples along the curve

@@ -21,8 +21,8 @@ within a user-chosen eps of the given parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = [
     "DomainError",
@@ -57,42 +57,47 @@ class DomainError(ValueError):
         super().__init__("invalid parameters: " + "; ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class Params:
-    """Validated rate vector (alpha, beta, mu, d0, d1).
-
-    Construction raises DomainError listing every violated constraint, so an
-    instance always lies in the admissible domain.
-    """
-
+class _Rates(NamedTuple):
     alpha: float
     beta: float
     mu: float
     d0: float
     d1: float
 
-    def __post_init__(self):
+
+class Params(_Rates):
+    """Validated rate vector (alpha, beta, mu, d0, d1), a named tuple.
+
+    Construction raises DomainError listing every violated constraint, so an
+    instance always lies in the admissible domain; _make and _replace build
+    through the same check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alpha, beta, mu, d0, d1):
         violations = []
-        for name in RATES:
-            v = getattr(self, name)
+        for name, v in zip(RATES, (alpha, beta, mu, d0, d1)):
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 violations.append(f"{name} must be a finite real, got {v!r}")
         if not violations:
-            if not self.alpha > 0:
-                violations.append(f"alpha must be > 0, got {self.alpha}")
-            if not self.beta > 0:
-                violations.append(f"beta must be > 0, got {self.beta}")
-            if not self.mu > 0:
-                violations.append(f"mu must be > 0, got {self.mu}")
-            if self.d0 < 0:
-                violations.append(f"d0 must be >= 0, got {self.d0}")
-            if self.d1 < 0:
-                violations.append(f"d1 must be >= 0, got {self.d1}")
+            if not alpha > 0:
+                violations.append(f"alpha must be > 0, got {alpha}")
+            if not beta > 0:
+                violations.append(f"beta must be > 0, got {beta}")
+            if not mu > 0:
+                violations.append(f"mu must be > 0, got {mu}")
+            if d0 < 0:
+                violations.append(f"d0 must be >= 0, got {d0}")
+            if d1 < 0:
+                violations.append(f"d1 must be >= 0, got {d1}")
         if violations:
             raise DomainError(violations)
+        return tuple.__new__(cls, (alpha, beta, mu, d0, d1))
 
-    def astuple(self) -> tuple[float, float, float, float, float]:
-        return (self.alpha, self.beta, self.mu, self.d0, self.d1)
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def validate(alpha: float, beta: float, mu: float, d0: float, d1: float) -> Params:
@@ -224,8 +229,7 @@ def shape_class(alpha: float, beta: float) -> SimplexClass:
     return SimplexClass.F_STAR
 
 
-@dataclass(frozen=True)
-class RegionLabel:
+class RegionLabel(NamedTuple):
     """Membership flags for every named parameter set.
 
     The four primary sets partition the admissible domain:
@@ -279,7 +283,7 @@ def classify(p: Params) -> RegionLabel:
     above = p.beta > thr
     below = p.beta < thr
 
-    region = primary_region_index(*p.astuple())
+    region = primary_region_index(*p)
     in_omega_star = region == 0
     in_phi1 = region == 1
     in_phi2 = region == 2
@@ -307,7 +311,7 @@ def classify(p: Params) -> RegionLabel:
 
 def primary_region(p: Params) -> str:
     """Name of the unique primary set containing p."""
-    return PRIMARY_REGIONS[primary_region_index(*p.astuple())]
+    return PRIMARY_REGIONS[primary_region_index(*p)]
 
 
 def boundary_report(p: Params, eps: float) -> list[str]:

@@ -39,9 +39,8 @@ handled as its own branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .params import SimplexClass, in_invariance_region, shape_class
 from .stability import quad_roots
@@ -83,17 +82,29 @@ class UOrbitNotConverged(ValueError):
     """The U orbit did not come within tol of x* in max_iter steps."""
 
 
-@dataclass(frozen=True)
-class SimplexParams:
-    """Rates of the matched special case: alpha > 0, beta = mu in (0, inf)."""
-
+class _SimplexRates(NamedTuple):
     alpha: float
     beta: float
 
-    def __post_init__(self):
-        for name, v in (("alpha", self.alpha), ("beta", self.beta)):
+
+class SimplexParams(_SimplexRates):
+    """Rates of the matched special case: alpha > 0, beta = mu in (0, inf).
+
+    A named tuple whose construction, _make and _replace included, raises
+    ValueError on a rate that is not a finite real > 0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alpha, beta):
+        for name, v in (("alpha", alpha), ("beta", beta)):
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a finite real > 0, got {v!r}")
+        return tuple.__new__(cls, (alpha, beta))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def u_map(sp: SimplexParams, x):
@@ -106,8 +117,7 @@ def u_derivative(sp: SimplexParams, x):
     return 1.0 - sp.beta - sp.alpha / (1.0 + x) ** 2
 
 
-@dataclass(frozen=True)
-class InvarianceCheck:
+class InvarianceCheck(NamedTuple):
     """Does U map [0, 1] into itself, and if not, where does it leave?
 
     region is SimplexClass.A or .B on success, .NONE on failure.  On
@@ -171,8 +181,7 @@ class UPointType(Enum):
     BOUNDARY = "boundary (|U'| = 1)"
 
 
-@dataclass(frozen=True)
-class UStability:
+class UStability(NamedTuple):
     """Multiplier of U at its fixed point and the induced type."""
 
     x_star: float
@@ -225,8 +234,7 @@ class Period2Kind(Enum):
     WHOLE_INTERVAL = "whole_interval"
 
 
-@dataclass(frozen=True)
-class Period2Set:
+class Period2Set(NamedTuple):
     """2-periodic points of U in [0, 1], excluding the fixed point.
 
     kind WHOLE_INTERVAL means every point of [0, 1] except x* pairs into a
@@ -292,8 +300,7 @@ class UOrbitKind(Enum):
     TWO_CYCLE = "two_cycle"
 
 
-@dataclass(frozen=True)
-class UOrbit:
+class UOrbit(NamedTuple):
     """Limit behaviour of the U orbit from one start in [0, 1].
 
     rate_estimate is the last observed ratio of successive distances to
@@ -372,8 +379,7 @@ _SHAPE_BY_CLASS = {
 }
 
 
-@dataclass(frozen=True)
-class SimplexAnalysis:
+class SimplexAnalysis(NamedTuple):
     """Everything the simplex case knows about one (alpha, beta)."""
 
     invariance: InvarianceCheck

@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .dynamics import State
 from .fixed_points import FormulaTag, _residual, fixed_point_locations
@@ -306,8 +305,7 @@ def modulus_type(eigs: tuple[complex, complex]) -> FixedPointType:
     return FixedPointType.SADDLE
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Linearization data at one fixed point.
 
     jacobian_entries holds the Jacobian row by row as four Python floats
@@ -384,8 +382,7 @@ def classify_fixed_point(
     )
 
 
-@dataclass(frozen=True)
-class DeclaredType:
+class DeclaredType(NamedTuple):
     """Closed-form type assignment for one fixed point, with its audit.
 
     declared is None on the threshold equality beta = mu*(1 + d0/alpha),

@@ -30,7 +30,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from mospop.cli import main
+from mospop.cli import MAX_VALUES, main
 
 TMP = "{tmp}"
 DATA = Path(__file__).with_name("cli.json")
@@ -278,6 +278,20 @@ def appended() -> list[tuple[str, list[str]]]:
           "--orbit", "-3", "--json"]),
         *SWEEP_SHAPES.items(),
         ("exit2 verify negative seed", ["verify", "--seed", "-1", "--draws", "5"]),
+        # caps checked before any value is built; the cap + 1 only
+        ("exit2 fixed-points samples above the cap",
+         ["fixed-points", *PSI, "--samples", str(MAX_VALUES + 1)]),
+        ("exit2 simplex orbit above the cap",
+         ["simplex", "--alpha", "1", "--beta", "1", "--x0", "0",
+          "--orbit", str(MAX_VALUES + 1)]),
+        ("exit2 simulate no iterations",
+         ["simulate", *EX3, "--x0", "1", "--y0", "1", "--iters", "0"]),
+        ("exit2 simulate nan divergence threshold",
+         ["simulate", *EX3, "--x0", "1", "--y0", "1", "--divergence-threshold", "nan"]),
+        # the float map returns (0.5, 0.5) bit for bit; no fixed point is near
+        *both("simulate float map stalls",
+              ["simulate", "--alpha", "1e-200", "--beta", "3e-200", "--mu", "1e-200",
+               "--d0", "1e-200", "--x0", "0.5", "--y0", "0.5"]),
     ]
 
 

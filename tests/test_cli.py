@@ -24,7 +24,7 @@ from mospop import (
     validate,
 )
 from mospop.cli import (
-    MAX_SWEEP_CELLS,
+    MAX_VALUES,
     NUMBER_FORMAT,
     TOL_ENV,
     _json_ready,
@@ -156,6 +156,15 @@ class TestFixedPoints:
         )
         assert d["kind"] == "continuum"
         assert len(d["points"]) == 7
+
+    def test_samples_above_the_cap_exit_2(self, capsys):
+        n = MAX_VALUES + 1
+        code, out, err = run(
+            capsys,
+            ["fixed-points", "--alpha", "1", "--beta", "1", "--mu", "1", "--samples", str(n)],
+        )
+        assert (code, out, err) == (
+            2, "", f"error: --samples must be at most {MAX_VALUES}, got {n}\n")
 
     def test_samples_needs_at_least_two(self, capsys):
         code, _, err = run(
@@ -370,6 +379,19 @@ class TestSimulate:
         assert code == 3
         assert err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--iters", "0"], "--iters must be at least 1, got 0"),
+        (["--iters", "-3"], "--iters must be at least 1, got -3"),
+        (["--divergence-threshold", "nan"],
+         "--divergence-threshold must be > 0, got nan"),
+        (["--divergence-threshold", "-1e3"],
+         "--divergence-threshold must be > 0, got -1000.0"),
+    ])
+    def test_usage_errors_name_their_flag(self, capsys, flags, message):
+        code, out, err = run(capsys, ["simulate", *EX3, "--x0", "1", "--y0", "1",
+                                      *flags])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_iters_budget(self, capsys):
         d = run_json(capsys, ["simulate", *EX3, "--x0", "50", "--y0", "80",
                               "--iters", "10"])
@@ -436,6 +458,8 @@ class TestSimplexCommand:
         (["--x0", "0.3", "--orbit", "-3", "--json"], "--orbit must be >= 0, got -3"),
         (["--x0", "0.3", "--orbit", "-3", "--csv", "o.csv"],
          "--csv needs a positive --orbit"),
+        (["--x0", "0.3", "--orbit", str(MAX_VALUES + 1)],
+         f"--orbit must be at most {MAX_VALUES}, got {MAX_VALUES + 1}"),
     ])
     def test_orbit_flags_that_would_be_ignored_exit_2(self, capsys, tmp_path,
                                                       monkeypatch, argv, message):
@@ -538,11 +562,11 @@ class TestSweep:
                                       "--output", "-"])
         assert code == 2 and out == ""
         assert err.startswith("error: the grid ") and err.count("\n") == 1
-        assert f"more than {MAX_SWEEP_CELLS} cells" in err
+        assert f"more than {MAX_VALUES} cells" in err
 
     def test_axis_count_is_capped(self):
         assert _parse_axis("alpha:0:9999:1") == ("alpha", 0.0, 1.0, 10_000)
-        assert _parse_axis("alpha:0:1:1e-12")[3] == MAX_SWEEP_CELLS + 1
+        assert _parse_axis("alpha:0:1:1e-12")[3] == MAX_VALUES + 1
 
     # (axis1, axis2, fixed rates); each grid is swept for every quantity
     AGREEMENT_GRIDS = [

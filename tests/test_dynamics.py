@@ -309,6 +309,21 @@ class TestOrbit:
                (n, final.x.hex(), final.y.hex()))
         assert got == expected
 
+    def test_a_state_the_float_map_fixes_stops_undecided(self):
+        # every term but x and y rounds away at these rates, so a step
+        # returns (0.5, 0.5) bit for bit; the fixed points are (0, 0) and
+        # (1, 0.5), so the orbit stops undecided at step 1, not at max_iter
+        p = validate(1e-200, 3e-200, 1e-200, 1e-200, 0.0)
+        assert step(p, (0.5, 0.5)) == (0.5, 0.5)
+        res = orbit(p, (0.5, 0.5))
+        assert res.verdict is OrbitVerdict.UNDECIDED
+        assert (res.iterations_used, res.limit) == (1, None)
+        assert res.samples == ((0, (0.5, 0.5)), (1, (0.5, 0.5)))
+        # a state the map fixes near a fixed point still converges
+        res = orbit(p, (1.0, 0.5))
+        assert res.verdict is OrbitVerdict.CONVERGED
+        assert res.limit == (1.0, 0.5)
+
     def test_domain_exit_needs_no_fixed_points(self):
         # the phi1 root of these rates lies beyond the double range, so
         # find_fixed_points raises; the orbit leaves the domain in one step

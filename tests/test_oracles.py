@@ -9,6 +9,8 @@ the oracles at all.
 
 import ast
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +142,8 @@ class TestKernelAgainstOracle:
 
 class TestOracleIndependence:
     def test_only_the_cli_and_the_package_import_the_oracles(self):
+        # An import statement, or a string naming the module (the package's
+        # lazy name table, importlib.import_module), counts as an import.
         src = Path(mospop.__file__).parent
         importers = set()
         for path in sorted(src.glob("*.py")):
@@ -149,11 +153,29 @@ class TestOracleIndependence:
                     names += [f"{node.module or ''}.{a.name}" for a in node.names]
                 elif isinstance(node, ast.Import):
                     names = [a.name for a in node.names]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names = [node.value]
                 else:
                     continue
                 if any(n.split(".")[-1] == "oracles" for n in names):
                     importers.add(path.stem)
         assert importers == {"cli", "__init__"}
+        # the package re-exports oracle names without importing the module
+        routed = {n for n, m in mospop._MODULE_OF.items() if m == "oracles"}
+        assert routed == {n for n in mospop.__all__
+                          if getattr(mospop, n) is getattr(oracles, n, None)}
+
+    def test_production_modules_load_without_the_oracles(self):
+        modules = sorted(p.stem for p in Path(mospop.__file__).parent.glob("*.py")
+                         if p.stem not in ("__init__", "__main__", "cli", "oracles"))
+        script = (
+            "import sys\n"
+            f"import {', '.join('mospop.' + m for m in modules)}\n"
+            "assert 'mospop.oracles' not in sys.modules\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
 
 
 class TestFiniteDifferences:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mospop.params import (
     DomainError,
+    RATES,
     Params,
     SimplexClass,
     basic_offspring_number,
@@ -32,6 +33,18 @@ def test_validate_returns_frozen_params():
     assert (p.alpha, p.beta, p.mu, p.d0, p.d1) == EX1
     with pytest.raises(AttributeError):
         p.alpha = 2.0
+
+
+def test_params_is_a_named_tuple_whose_copies_are_checked_too():
+    p = validate(*EX1)
+    assert p == EX1 and p._asdict() == dict(zip(RATES, EX1))
+    assert p._replace(mu=2.0) == (1.5, 0.4, 2.0, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        p._replace(mu=-1.0)
+    with pytest.raises(DomainError):
+        Params._make((0.0, 1.0, 1.0, 0.0, 0.0))
+    with pytest.raises(AttributeError):
+        p.extra = 1.0  # no per-instance attributes
 
 
 def test_alpha_zero_rejected():

@@ -67,6 +67,16 @@ class TestParamsAndMap:
         with pytest.raises(ValueError):
             SimplexParams(math.nan, 1.0)
 
+    def test_a_named_tuple_whose_copies_are_checked_too(self):
+        sp = SimplexParams(1.5, 0.5)
+        assert sp == (1.5, 0.5) and sp._replace(beta=1.0) == (1.5, 1.0)
+        with pytest.raises(ValueError):
+            sp._replace(alpha=0.0)
+        with pytest.raises(ValueError):
+            SimplexParams._make((1.0, math.inf))
+        with pytest.raises(AttributeError):
+            sp.alpha = 2.0
+
     def test_corner_map_is_a_moebius_reflection(self):
         for x in np.linspace(0.0, 1.0, 101):
             assert u_map(CORNER, float(x)) == pytest.approx(
