@@ -6,9 +6,9 @@ alpha/(1+x), larvae die at rate d0 + d1*x, adults die at rate mu.
 
 Modules:
     params        admissible parameters and region classification
-    fixed_points  closed-form equilibrium enumeration
+    fixed_points  the one-step map and its closed-form fixed points
     stability     linearization, eigenvalue typing and the quadratic solver
-    dynamics      trajectory iteration with limit detection
+    dynamics      orbit iteration with limit detection
     simplex       the matched-rates case restricted to [0, 1]
     oracles       independent numerical cross-checks
     cli           command line front end (``python -m mospop``)
@@ -24,11 +24,11 @@ __version__ = "0.1.0"
 
 # the public names of each submodule that the package re-exports
 _EXPORTS = {
-    "dynamics": ("ConditionViolation", "OrbitResult", "OrbitVerdict", "State",
-                 "local_limit", "orbit", "step"),
+    "dynamics": ("ConditionViolation", "OrbitResult", "OrbitVerdict",
+                 "local_limit", "orbit"),
     "fixed_points": ("ClosedFormOverflow", "FixedPointKind", "FixedPointReport",
-                     "FixedPointSet", "FormulaTag", "discriminant",
-                     "find_fixed_points", "gamma"),
+                     "FixedPointSet", "FormulaTag", "State", "discriminant",
+                     "find_fixed_points", "gamma", "step"),
     "oracles": ("fd_derivative", "fd_jacobian", "grid_period_scan",
                 "sample_invariance_pairs", "sample_region"),
     "params": ("DomainError", "Params", "RegionLabel", "SimplexClass",

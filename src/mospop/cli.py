@@ -219,9 +219,9 @@ def _fd_jacobian_error(p: params.Params, z, jac) -> float:
     the map at z, relative to max(1, largest |entry| of jac)."""
     import numpy as np
 
-    from . import dynamics
+    from . import fixed_points
 
-    fd = oracles.fd_jacobian(lambda x, y: dynamics.step(p, (x, y)), z)
+    fd = oracles.fd_jacobian(lambda x, y: fixed_points.step(p, (x, y)), z)
     return float(np.max(np.abs(fd - jac)) / max(1.0, float(np.max(np.abs(jac)))))
 
 
@@ -251,7 +251,7 @@ def _stability_payload(p: params.Params, z, tol: float, want_verify: bool) -> di
         "type": report.type.value,
     }
     if want_verify:
-        jac = report.jacobian
+        jac = stability.jacobian(p, z)
         payload["verification"] = {
             "fd_jacobian_rel_error": _fd_jacobian_error(p, z, jac),
             "eigenvalue_cross_check": _lapack_eigenvalue_gap(jac, report.eigenvalues),
@@ -600,6 +600,8 @@ def cmd_sweep(args) -> int:
 
     from . import params
 
+    if args.json and args.output == "-":
+        _usage_error("--json needs --output PATH")
     name1, lo1, step1, n1 = _parse_axis(args.axis1)
     name2, lo2, step2, n2 = _parse_axis(args.axis2)
     if name1 == name2:
@@ -607,15 +609,21 @@ def cmd_sweep(args) -> int:
     if n1 * n2 > MAX_VALUES:
         _usage_error(f"the grid {args.axis1} x {args.axis2} has more than "
                      f"{MAX_VALUES} cells")
-    vals1 = [lo1 + k * step1 for k in range(n1)]
-    vals2 = [lo2 + k * step2 for k in range(n2)]
 
     fixed = {name: getattr(args, name) for name in params.RATES}
+    for name in (name1, name2):
+        if fixed[name] is not None:
+            _usage_error(f"--{name} is given, but {name} is an axis")
     x_star = args.quantity == "x_star"
-    for name in ("alpha", "beta") if x_star else params.RATES:
+    for name in ("alpha", "beta") if x_star else ("alpha", "beta", "mu"):
         if fixed[name] is None and name not in (name1, name2):
             _usage_error(f"--{name} is required (not an axis) for quantity "
                          f"{args.quantity!r}")
+    for name in ("d0", "d1"):
+        if fixed[name] is None:  # not `or`: --d0 -0.0 keeps its sign
+            fixed[name] = 0.0
+    vals1 = [lo1 + k * step1 for k in range(n1)]
+    vals2 = [lo2 + k * step2 for k in range(n2)]
 
     shape = (n1, n2)
     grid = dict(fixed, **{name1: np.array(vals1)[:, None], name2: np.array(vals2)})
@@ -821,7 +829,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                    default=None, help="classify this state instead of all "
                    "fixed points")
     s.add_argument("--tol", type=float, default=None,
-                   help="fixed-point residual tolerance (default 1e-9)")
+                   help="tolerance of the fixed-point backward-error gate "
+                   "(default 1e-9)")
     s.add_argument("--verify", action="store_true",
                    help="cross-check with finite differences and LAPACK")
     s.add_argument("--json", action="store_true")
@@ -871,7 +880,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         s.add_argument(f"--{name}", type=float, default=None,
                        help=f"fixed {name} when it is not an axis")
     for name in ("d0", "d1"):
-        s.add_argument(f"--{name}", type=float, default=0.0,
+        s.add_argument(f"--{name}", type=float, default=None,
                        help=f"fixed {name} when it is not an axis (default 0)")
 
     s = sub("verify", "run the oracle cross-check suite", cmd_verify)

@@ -1,14 +1,8 @@
-"""Iteration of the two-stage map and long-run verdicts.
+"""Iteration of the two-stage map (fixed_points.step) and long-run verdicts.
 
-One step of the map sends (x, y) to
-
-    x' = beta*y - alpha*x/(1 + x) - (d0 + d1*x)*x + x
-    y' = alpha*x/(1 + x) - mu*y + y
-
-where x counts larvae and y adults.  The x update is defined for x > -1
-only; orbits are expected to live in the closed positive quadrant but the
-map itself does not enforce that, so orbit() tracks quadrant exits with a
-flag instead of failing.
+The x update is defined for x > -1 only; orbits are expected to live in
+the closed positive quadrant but the map itself does not enforce that, so
+orbit() tracks quadrant exits with a flag instead of failing.
 """
 
 from __future__ import annotations
@@ -18,29 +12,21 @@ import sys
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
+from .fixed_points import FixedPointKind, State, find_fixed_points, gamma, phi1_point
 from .params import Params, birth_threshold, preserves_quadrant
 
 __all__ = [
     "ConditionViolation",
     "OrbitResult",
     "OrbitVerdict",
-    "State",
     "local_limit",
     "orbit",
-    "step",
 ]
 
 _HISTORY = 1024          # ring buffer length for revisit detection
 _FULL_SCAN_STRIDE = 997  # prime stride so scans do not alias short cycles
 _DENSE_SAMPLES = 1000    # store every iterate up to here, then thin
 _SAMPLE_GROWTH = 1.1
-
-
-class State(NamedTuple):
-    """A point (x, y) of the phase plane: larvae and adult densities."""
-
-    x: float
-    y: float
 
 
 class ConditionViolation(ValueError):
@@ -72,28 +58,12 @@ class OrbitResult(NamedTuple):
     left_positive_quadrant: bool = False
 
 
-def step(p: Params, z: Sequence[float]) -> State:
-    """Apply one step of the map to z = (x, y).  Requires x > -1."""
-    x, y = float(z[0]), float(z[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"state must be finite, got ({x}, {y})")
-    if x <= -1.0:
-        raise ValueError(f"map undefined for x <= -1, got x={x}")
-    t = p.alpha * x / (1.0 + x)
-    return State(
-        p.beta * y - t - (p.d0 + p.d1 * x) * x + x,
-        t - p.mu * y + y,
-    )
-
-
 def _fixed_point_targets(p: Params):
     """Known fixed points to test convergence against.
 
     Returns (points, curve) where curve is the continuum parameterization
     y = gamma(x) when the fixed points form a curve, else None.
     """
-    from .fixed_points import FixedPointKind, find_fixed_points, gamma
-
     fps = find_fixed_points(p)
     if fps.kind is FixedPointKind.CONTINUUM:
         return [], (lambda x: gamma(p, x))
@@ -290,6 +260,4 @@ def local_limit(p: Params) -> State:
         return State(0.0, 0.0)
     if p.d0 == 0.0:
         return State(math.inf, p.alpha / p.mu)
-    from .fixed_points import phi1_point
-
     return phi1_point(p)

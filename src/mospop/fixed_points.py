@@ -1,4 +1,12 @@
-"""Closed-form fixed points of the two-stage map.
+"""The two-stage map and its closed-form fixed points.
+
+One step of the map sends (x, y) to
+
+    x' = beta*y - alpha*x/(1 + x) - (d0 + d1*x)*x + x
+    y' = alpha*x/(1 + x) - mu*y + y
+
+where x counts larvae and y adults.  The x update is defined for x > -1
+only; the map does not keep states in the positive quadrant.
 
 A fixed point (x, y) forces y = gamma(x) = alpha*x/(mu*(1 + x)) from the
 adult equation; substituting into the larval equation leaves
@@ -19,9 +27,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
-from .dynamics import State, step
 from .params import Params, primary_region
 
 __all__ = [
@@ -31,15 +38,38 @@ __all__ = [
     "FixedPointReport",
     "FixedPointSet",
     "FormulaTag",
+    "State",
     "discriminant",
     "find_fixed_points",
     "fixed_point_locations",
     "gamma",
     "larval_quadratic",
     "phi1_point",
+    "step",
 ]
 
 DEFAULT_CONTINUUM_GRID = (0.0, 0.5, 1.0, 2.0, 10.0)
+
+
+class State(NamedTuple):
+    """A point (x, y) of the phase plane: larvae and adult densities."""
+
+    x: float
+    y: float
+
+
+def step(p: Params, z: Sequence[float]) -> State:
+    """Apply one step of the map to z = (x, y).  Requires x > -1."""
+    x, y = float(z[0]), float(z[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"state must be finite, got ({x}, {y})")
+    if x <= -1.0:
+        raise ValueError(f"map undefined for x <= -1, got x={x}")
+    t = p.alpha * x / (1.0 + x)
+    return State(
+        p.beta * y - t - (p.d0 + p.d1 * x) * x + x,
+        t - p.mu * y + y,
+    )
 
 
 def gamma(p: Params, x: float):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from . import params
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -181,8 +183,6 @@ def sample_region(region: str, n: int, rng: np.random.Generator):
     phi_star, psi_star.  Every draw is classified on the way out, so a
     construction bug fails fast rather than poisoning a test.
     """
-    from .params import classify, validate
-
     out = []
     for _ in range(n):
         if region == "omega":
@@ -193,7 +193,7 @@ def sample_region(region: str, n: int, rng: np.random.Generator):
             beta = float(rng.uniform(0.05, 4.0))
             if rng.random() < 0.1:
                 beta = mu  # exercise the matched-rates boundary
-            p = validate(alpha, beta, mu, d0, d1)
+            p = params.validate(alpha, beta, mu, d0, d1)
         elif region == "omega_star":
             alpha = float(rng.uniform(0.2, 6.0))
             mu = float(rng.uniform(0.1, 1.0))
@@ -207,16 +207,16 @@ def sample_region(region: str, n: int, rng: np.random.Generator):
                 beta = float(mu * rng.uniform(1.05, 3.0))  # divergent corner
             else:
                 beta = float(thr * rng.uniform(0.05, 0.999))
-            p = validate(alpha, beta, mu, d0, d1)
-            assert classify(p).in_omega_star
+            p = params.validate(alpha, beta, mu, d0, d1)
+            assert params.classify(p).in_omega_star
         elif region == "phi1":
             alpha = float(rng.uniform(0.2, 6.0))
             mu = float(rng.uniform(0.1, 1.0))
             d0 = float(rng.uniform(0.1, 1.0))
             thr = mu * (1.0 + d0 / alpha)
             beta = float(thr * (1.0 + rng.uniform(1e-3, 1.0)))
-            p = validate(alpha, beta, mu, d0, 0.0)
-            assert classify(p).in_phi1
+            p = params.validate(alpha, beta, mu, d0, 0.0)
+            assert params.classify(p).in_phi1
         elif region == "phi2":
             alpha = float(rng.uniform(0.2, 6.0))
             mu = float(rng.uniform(0.1, 1.0))
@@ -224,21 +224,21 @@ def sample_region(region: str, n: int, rng: np.random.Generator):
             d1 = float(rng.uniform(0.05, 1.0))
             thr = mu * (1.0 + d0 / alpha)
             beta = float(thr * (1.0 + rng.uniform(1e-3, 1.0)))
-            p = validate(alpha, beta, mu, d0, d1)
-            assert classify(p).in_phi2
+            p = params.validate(alpha, beta, mu, d0, d1)
+            assert params.classify(p).in_phi2
         elif region == "psi":
             alpha = float(rng.uniform(0.05, 6.0))
             mu = float(rng.uniform(0.1, 1.5))
-            p = validate(alpha, mu, mu, 0.0, 0.0)
-            assert classify(p).in_psi
+            p = params.validate(alpha, mu, mu, 0.0, 0.0)
+            assert params.classify(p).in_psi
         elif region == "theta_star_theta1":
             d0 = _mix_zero(rng, 0.05, 0.9, 0.3)
             alpha = float(rng.uniform(0.05, 1.0) * (1.0 - d0))
             mu = float(rng.uniform(0.05, 1.0))
             thr = mu * (1.0 + d0 / alpha)
             beta = float(thr * rng.uniform(0.05, 1.0 - 1e-6))
-            p = validate(alpha, beta, mu, d0, 0.0)
-            lab = classify(p)
+            p = params.validate(alpha, beta, mu, d0, 0.0)
+            lab = params.classify(p)
             assert lab.in_theta_star and lab.in_theta1
         elif region == "phi_star":
             d0 = float(rng.uniform(0.05, 0.95))
@@ -246,13 +246,13 @@ def sample_region(region: str, n: int, rng: np.random.Generator):
             mu = float(rng.uniform(0.05, 1.0))
             thr = mu * (1.0 + d0 / alpha)
             beta = float(thr + 1e-6 * max(1.0, thr) + rng.uniform(0.0, 3.0))
-            p = validate(alpha, beta, mu, d0, 0.0)
-            assert classify(p).in_phi_star
+            p = params.validate(alpha, beta, mu, d0, 0.0)
+            assert params.classify(p).in_phi_star
         elif region == "psi_star":
             alpha = float(rng.uniform(0.05, 1.0 - 1e-6))
             mu = float(rng.uniform(0.05, 1.0))
-            p = validate(alpha, mu, mu, 0.0, 0.0)
-            assert classify(p).in_psi_star
+            p = params.validate(alpha, mu, mu, 0.0, 0.0)
+            assert params.classify(p).in_psi_star
         else:
             raise ValueError(f"unknown region name {region!r}")
         out.append(p)

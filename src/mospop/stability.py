@@ -38,8 +38,7 @@ import sys
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .dynamics import State
-from .fixed_points import FormulaTag, _residual, fixed_point_locations
+from .fixed_points import FormulaTag, State, _residual, fixed_point_locations
 from .params import Params, birth_threshold, preserves_quadrant
 
 if TYPE_CHECKING:
@@ -98,18 +97,15 @@ def jacobian_entries(alpha, beta, mu, d0, d1, x):
             emergence_slope, 1.0 - mu)
 
 
-def _matrix(j00, j01, j10, j11) -> np.ndarray:
-    import numpy as np
-
-    return np.array([[j00, j01], [j10, j11]])
-
-
 def jacobian(p: Params, z: Sequence[float]) -> np.ndarray:
     """Jacobian matrix of the map at z = (x, y).  Requires x > -1."""
     x = float(z[0])
     if x <= -1.0:
         raise ValueError(f"Jacobian undefined for x <= -1, got x={x}")
-    return _matrix(*jacobian_entries(p.alpha, p.beta, p.mu, p.d0, p.d1, x))
+    import numpy as np
+
+    j00, j01, j10, j11 = jacobian_entries(p.alpha, p.beta, p.mu, p.d0, p.d1, x)
+    return np.array([[j00, j01], [j10, j11]])
 
 
 def trace_det(j00, j01, j10, j11):
@@ -309,9 +305,8 @@ class StabilityReport(NamedTuple):
     """Linearization data at one fixed point.
 
     jacobian_entries holds the Jacobian row by row as four Python floats
-    (j00, j01, j10, j11); typing a fixed point needs no numpy.  The
-    jacobian property imports numpy and builds the same 2x2 array from
-    those entries each time it is read.
+    (j00, j01, j10, j11); typing a fixed point needs no numpy.  jacobian(p, z)
+    builds the same entries as a 2x2 array.
     """
 
     jacobian_entries: tuple[float, float, float, float]
@@ -319,10 +314,6 @@ class StabilityReport(NamedTuple):
     g_value: float
     f_value: float
     type: FixedPointType
-
-    @property
-    def jacobian(self) -> np.ndarray:
-        return _matrix(*self.jacobian_entries)
 
 
 def check_fixed_point(
@@ -439,7 +430,7 @@ def declared_type_table(p: Params) -> tuple[DeclaredType, ...]:
     rows = []
     for x, y, tag in fixed_point_locations(p)[1]:
         declared, note = origin if tag is FormulaTag.ORIGIN else _DECLARED_BY_TAG[tag]
-        numeric = classify_fixed_point(p, (x, y), tol=1e-7).type
+        numeric = classify_fixed_point(p, (x, y)).type
         agrees = declared is None or declared is (
             FixedPointType.SADDLE if numeric is FixedPointType.NON_HYPERBOLIC else numeric)
         rows.append(DeclaredType(State(x, y), declared, numeric, agrees, note))

@@ -292,6 +292,13 @@ def appended() -> list[tuple[str, list[str]]]:
         *both("simulate float map stalls",
               ["simulate", "--alpha", "1e-200", "--beta", "3e-200", "--mu", "1e-200",
                "--d0", "1e-200", "--x0", "0.5", "--y0", "0.5"]),
+        # sweep flags that would otherwise be dropped without a word
+        ("exit2 sweep json to stdout",
+         ["sweep", "--axis1", "alpha:1:2:1", "--axis2", "beta:1:2:1",
+          "--quantity", "r0", "--mu", "1", "--output", "-", "--json"]),
+        ("exit2 sweep fixed rate on an axis",
+         ["sweep", "--axis1", "alpha:1:2:1", "--axis2", "beta:1:2:1",
+          "--quantity", "r0", "--mu", "1", "--alpha", "3", "--output", "-"]),
     ]
 
 

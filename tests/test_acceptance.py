@@ -15,8 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from mospop.dynamics import OrbitVerdict, orbit, step
-from mospop.fixed_points import FixedPointKind, FormulaTag, find_fixed_points
+from mospop.dynamics import OrbitVerdict, orbit
+from mospop.fixed_points import FixedPointKind, FormulaTag, find_fixed_points, step
 from mospop.oracles import (
     fd_jacobian,
     grid_period_scan,

@@ -539,6 +539,35 @@ class TestSweep:
                                 "--quantity", "x_star", "--output", "-"])
         assert code == 2
 
+    @pytest.mark.parametrize("axis1, flags, message", [
+        ("alpha:1:2:1", ["--mu", "1", "--output", "-", "--json"],
+         "--json needs --output PATH"),
+        ("alpha:1:2:1", ["--mu", "1", "--alpha", "3", "--output", "-"],
+         "--alpha is given, but alpha is an axis"),
+        ("alpha:1:2:1", ["--mu", "1", "--beta", "0.5", "--output", "-"],
+         "--beta is given, but beta is an axis"),
+        ("d0:0:1:1", ["--alpha", "1", "--mu", "1", "--d0", "0", "--output", "-"],
+         "--d0 is given, but d0 is an axis"),
+    ])
+    def test_flags_that_would_be_ignored_exit_2(self, capsys, axis1, flags, message):
+        code, out, err = run(capsys, ["sweep", "--axis1", axis1,
+                                      "--axis2", "beta:1:2:1",
+                                      "--quantity", "r0", *flags])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_negative_zero_d0_keeps_its_sign(self, capsys, monkeypatch):
+        import mospop.cli as cli
+
+        seen = []
+        monkeypatch.setattr(cli, "_sweep_cells",
+                            lambda quantity, grid, shape: seen.append(grid) or [1.0])
+        code, _, err = run(capsys, ["sweep", "--axis1", "alpha:1:1:1",
+                                    "--axis2", "beta:1:1:1", "--quantity", "r0",
+                                    "--mu", "1", "--d0", "-0.0", "--output", "-"])
+        assert code == 0, err
+        assert math.copysign(1.0, seen[0]["d0"]) == -1.0
+        assert seen[0]["d1"] == 0.0
+
     def test_malformed_axis_exit_2(self, capsys):
         # too few fields, an infinite bound, a NaN bound, an infinite step
         for spec in ("alpha:2:1", "alpha:0.5:inf:1", "alpha:nan:1:0.5",

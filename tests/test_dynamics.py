@@ -5,15 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mospop.dynamics import (
-    ConditionViolation,
-    OrbitVerdict,
-    State,
-    local_limit,
-    orbit,
-    step,
-)
-from mospop.fixed_points import find_fixed_points, gamma
+from mospop.dynamics import ConditionViolation, OrbitVerdict, local_limit, orbit
+from mospop.fixed_points import State, find_fixed_points, gamma, step
 from mospop.oracles import sample_region
 from mospop.params import validate
 

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from mospop.dynamics import step
 from mospop.fixed_points import (
     DEFAULT_CONTINUUM_GRID,
     ClosedFormOverflow,
@@ -16,6 +15,7 @@ from mospop.fixed_points import (
     fixed_point_locations,
     gamma,
     phi1_point,
+    step,
 )
 from mospop.oracles import sample_region
 from mospop.params import basic_offspring_number, validate

@@ -1,13 +1,63 @@
-"""The package's lazy public names, and the modules each subcommand loads."""
+"""The package's lazy public names, its import graph, and the modules each
+subcommand loads."""
 
 import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import mospop
+
+SRC = Path(mospop.__file__).parent
+
+
+# Each library module's imports of other mospop modules: one way, params
+# first.  The cli imports inside its subcommands and __init__ through its
+# name table, so both are left out.
+IMPORTS = {
+    "params": set(),
+    "fixed_points": {"params"},
+    "dynamics": {"fixed_points", "params"},
+    "stability": {"fixed_points", "params"},
+    "simplex": {"params", "stability"},
+    "oracles": {"params"},
+}
+
+
+def package_imports(tree: ast.Module) -> list[tuple[str, bool]]:
+    """(imported mospop module, at module level) for each relative import."""
+    top = set(map(id, tree.body))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            found += [(name, id(node) in top) for name in names]
+    return found
+
+
+class TestImportGraph:
+    def test_library_modules_import_one_way_at_module_level(self):
+        got = {}
+        for path in sorted(SRC.glob("*.py")):
+            if path.stem in ("__init__", "__main__", "cli"):
+                continue
+            imports = package_imports(ast.parse(path.read_text(encoding="utf-8")))
+            assert all(top for _, top in imports), path.stem
+            got[path.stem] = {name for name, _ in imports}
+        assert got == IMPORTS
+
+    def test_the_map_is_defined_once_next_to_its_fixed_points(self):
+        for path in sorted(SRC.glob("*.py")):
+            defined = {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                       if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+            want = {"State", "step"} if path.stem == "fixed_points" else set()
+            assert defined & {"State", "step"} == want, path.stem
+        fixed_points = importlib.import_module("mospop.fixed_points")
+        assert (mospop.State, mospop.step) == (fixed_points.State, fixed_points.step)
+        assert not hasattr(importlib.import_module("mospop.dynamics"), "step")
 
 
 class TestLazyNames:
@@ -47,22 +97,25 @@ GRID = ["--axis1", "alpha:1:2:1", "--axis2", "beta:0.5:1:0.5", "--output", "-"]
 # every start holds the package, the cli and the oracles (which the
 # benchmark's tracer looks up); params validates every rate vector
 START = {"mospop", "mospop.cli", "mospop.oracles", "mospop.params"}
-POINTS = START | {"mospop.dynamics", "mospop.fixed_points"}
-SIMPLEX = POINTS | {"mospop.simplex", "mospop.stability"}
+POINTS = START | {"mospop.fixed_points"}
+STABILITY = POINTS | {"mospop.stability"}
+SIMPLEX = STABILITY | {"mospop.simplex"}
+# an orbit's states are fixed_points.State, whether or not it ever looks
+# the fixed points up (only once a step moves less than tol)
+ORBIT = POINTS | {"mospop.dynamics"}
 
 LOADS = {
     "classify": (["classify", *EX3], START),
     "fixed-points": (["fixed-points", *EX3], POINTS),
-    "stability": (["stability", *EX3], POINTS | {"mospop.stability"}),
-    # the orbit looks the fixed points up only once a step moves less than tol
+    "stability": (["stability", *EX3], STABILITY),
     "simulate budget": (["simulate", *EX3, "--x0", "50", "--y0", "80", "--iters", "5"],
-                        START | {"mospop.dynamics"}),
-    "simulate converges": (["simulate", *EX3, "--x0", "50", "--y0", "80"], POINTS),
+                        ORBIT),
+    "simulate converges": (["simulate", *EX3, "--x0", "50", "--y0", "80"], ORBIT),
     "simplex": (["simplex", "--alpha", "1.5", "--beta", "0.5", "--x0", "0.3"], SIMPLEX),
     "sweep region": (["sweep", *GRID, "--quantity", "region", "--mu", "0.5"], START),
     "sweep x_star": (["sweep", *GRID, "--quantity", "x_star"], SIMPLEX),
     "sweep radius": (["sweep", *GRID, "--quantity", "spectral_radius_at_origin",
-                      "--mu", "0.5"], POINTS | {"mospop.stability"}),
+                      "--mu", "0.5"], STABILITY),
     "verify": (["verify", "--draws", "3"], SIMPLEX),
 }
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mospop.dynamics import step
+from mospop.fixed_points import step
 from mospop.oracles import (
     fd_derivative,
     grid_period_scan,
