@@ -6,8 +6,8 @@ alpha/(1+x), larvae die at rate d0 + d1*x, adults die at rate mu.
 
 Modules:
     params        admissible parameters and region classification
-    fixed_points  the one-step map and its closed-form fixed points
-    stability     linearization, eigenvalue typing and the quadratic solver
+    fixed_points  the one-step map, its fixed points and the quadratic solver
+    stability     linearization and eigenvalue typing
     dynamics      orbit iteration with limit detection
     simplex       the matched-rates case restricted to [0, 1]
     oracles       independent numerical cross-checks
@@ -26,9 +26,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "dynamics": ("ConditionViolation", "OrbitResult", "OrbitVerdict",
                  "local_limit", "orbit"),
-    "fixed_points": ("ClosedFormOverflow", "FixedPointKind", "FixedPointReport",
-                     "FixedPointSet", "FormulaTag", "State", "discriminant",
-                     "find_fixed_points", "gamma", "step"),
+    "fixed_points": ("ClosedFormOverflow", "DegenerateAllZero", "FixedPointKind",
+                     "FixedPointReport", "FixedPointSet", "FormulaTag", "State",
+                     "discriminant", "find_fixed_points", "gamma", "quad_roots",
+                     "step"),
     "oracles": ("fd_derivative", "fd_jacobian", "grid_period_scan",
                 "sample_invariance_pairs", "sample_region"),
     "params": ("DomainError", "Params", "RegionLabel", "SimplexClass",
@@ -40,10 +41,9 @@ _EXPORTS = {
                 "UOrbitNotConverged", "UPointType", "analyze", "fixed_point_u",
                 "period2_set", "simplex_invariant", "u_derivative", "u_map",
                 "u_orbit_limit", "u_stability", "x_minimum"),
-    "stability": ("DeclaredType", "DegenerateAllZero", "FixedPointType",
-                  "NotAFixedPoint", "OutsideDeclaredRegion", "StabilityReport",
-                  "classify_fixed_point", "declared_type_table", "eigenvalues",
-                  "jacobian", "quad_roots"),
+    "stability": ("DeclaredType", "FixedPointType", "NotAFixedPoint",
+                  "OutsideDeclaredRegion", "StabilityReport", "classify_fixed_point",
+                  "declared_type_table", "eigenvalues", "jacobian"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

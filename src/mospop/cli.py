@@ -699,7 +699,7 @@ def cmd_verify(args) -> int:
         a = float(rng.normal()) or 1.0
         b = float(rng.normal()) * scale
         c = float(rng.normal())
-        for r in stability.quad_roots(a, b, c):
+        for r in fixed_points.quad_roots(a, b, c):
             num = abs(a * r * r + b * r + c)
             den = max(abs(a) * abs(r) ** 2, abs(b) * abs(r), abs(c), 1.0)
             worst = max(worst, num / den)

@@ -21,11 +21,15 @@ classification of the quadratic decides what else exists:
   phi1        d1 = 0 branch, root x2 = alpha*(beta - mu)/(mu*d0) - 1 > 0
   phi2        d1 != 0 branch, positive root of the quadratic
   psi         the equation collapses to 0 = 0: every (x, gamma(x)), x >= 0
+
+The package's one quadratic solver, _quadratic behind quad_roots and the
+eigenvalues, lives here too; the phi2 point is its root c/q.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
@@ -34,6 +38,7 @@ from .params import Params, primary_region
 __all__ = [
     "DEFAULT_CONTINUUM_GRID",
     "ClosedFormOverflow",
+    "DegenerateAllZero",
     "FixedPointKind",
     "FixedPointReport",
     "FixedPointSet",
@@ -45,6 +50,7 @@ __all__ = [
     "gamma",
     "larval_quadratic",
     "phi1_point",
+    "quad_roots",
     "step",
 ]
 
@@ -90,6 +96,95 @@ def larval_quadratic(p: Params) -> tuple[float, float, float]:
     return p.d1, p.d0 + p.d1, p.d0 + p.alpha * (1.0 - p.beta / p.mu)
 
 
+_MIN_NORMAL = sys.float_info.min
+
+
+class DegenerateAllZero(ValueError):
+    """All three quadratic coefficients vanish; every number is a root."""
+
+
+def _ldexp(v: float, k: int) -> float:
+    """v * 2**k, saturating to +-inf where that overflows (math.ldexp raises)."""
+    try:
+        return math.ldexp(v, k)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
+def _quadratic(a: float, b: float, c: float) -> tuple[complex, complex]:
+    """The two roots of a*x**2 + b*x + c, a != 0.
+
+    q = -(b + sign(b)*sqrt(disc))/2 gives the roots q/a and c/q without
+    cancellation.  Real roots come back in that order, q/a then c/q; a
+    complex pair as (-b + i*sqrt(-disc))/(2a), then its conjugate.  Where
+    disc = b*b - 4*a*c or 2*a leaves the normal range, disc is formed from
+    a quadratic rescaled exactly by powers of two instead; a root beyond
+    the double range saturates to +-inf.
+    """
+    disc = b * b - 4.0 * a * c
+    two_a = 2.0 * a
+    if _MIN_NORMAL <= abs(disc) < math.inf and _MIN_NORMAL <= abs(two_a) < math.inf:
+        if disc > 0.0:
+            s = math.sqrt(disc)
+            q = -0.5 * (b + s) if b >= 0.0 else -0.5 * (b - s)
+            return complex(q / a), complex(c / q)
+        re = -b / two_a
+        im = math.sqrt(-disc) / two_a
+        return complex(re, im), complex(re, -im)
+    # Substitute x = 2**k * y and divide by 2**(ea + 2k): the scaled
+    # quadratic A*y**2 + B*y + C has A, |C| in [0.5, 2) and B = mb * 2**eb2.
+    A, ea = math.frexp(a)
+    mb, eb = math.frexp(b)
+    mc, ec = math.frexp(c)
+    k = (ec - ea) // 2 if c != 0.0 else (eb - ea if b != 0.0 else 0)
+    C = math.ldexp(mc, ec - ea - 2 * k)
+    eb2 = eb - ea - k
+    if mb != 0.0 and eb2 > 500:
+        # 4*A*C is below half an ulp of B*B, so sqrt(disc) rounds to |B|
+        # and the roots are -b/a and -c/b exactly to rounding
+        return complex(-b / a), complex(-c / b)
+    B = math.ldexp(mb, eb2)
+    disc = B * B - 4.0 * A * C
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        q = -0.5 * (B + s) if B >= 0.0 else -0.5 * (B - s)
+        if q == 0.0:
+            return 0j, 0j
+        # where the unscaled q fits, each root rounds once
+        q_full = _ldexp(q, ea + k)
+        if _MIN_NORMAL <= abs(q_full) < math.inf:
+            return complex(q_full / a), complex(c / q_full)
+        return complex(_ldexp(q / A, k)), complex(_ldexp(C / q, k))
+    # the unscaled -b/(2a) rounds once and keeps a real part that a
+    # subnormal B would lose
+    re = -b / two_a if abs(two_a) < math.inf else _ldexp(-B / (2.0 * A), k)
+    im = _ldexp(math.sqrt(-disc) / (2.0 * A), k)
+    return complex(re, im), complex(re, -im)
+
+
+def quad_roots(a: float, b: float, c: float) -> tuple[complex, ...]:
+    """Roots of a*x**2 + b*x + c, for any finite coefficients.
+
+    A true quadratic gives a pair (real roots as complex with zero
+    imaginary part), sorted by descending real part, then descending
+    imaginary part; a = 0 gives the linear root.  A root beyond the double
+    range is left out, as the linear fallback leaves out the root that
+    escapes to infinity as a -> 0; a complex pair goes together.  Raises
+    DegenerateAllZero when a = b = c = 0.
+    """
+    if a == 0.0:
+        if b == 0.0:
+            if c == 0.0:
+                raise DegenerateAllZero("0 == 0 holds for every x")
+            return ()
+        r = -c / b
+        return (complex(r),) if math.isfinite(r) else ()
+    roots = [r for r in _quadratic(a, b, c)
+             if abs(r.real) < math.inf and abs(r.imag) < math.inf]
+    roots.sort(key=lambda r: (-r.real, -r.imag))
+    return tuple(roots)
+
+
 class ClosedFormOverflow(ValueError):
     """A closed-form fixed point overflows the double range when evaluated."""
 
@@ -105,10 +200,7 @@ def phi1_point(p: Params) -> State:
     """
     (ma, ea), (mb, eb), (mm, em), (md, ed) = (
         math.frexp(v) for v in (p.alpha, p.beta - p.mu, p.mu, p.d0))
-    try:
-        x = math.ldexp(ma * mb / (mm * md), ea + eb - em - ed) - 1.0
-    except OverflowError:
-        x = math.copysign(math.inf, mb)
+    x = _ldexp(ma * mb / (mm * md), ea + eb - em - ed) - 1.0
     y = float(gamma(p, x))  # nan when x is inf or nan
     if not y < math.inf:
         form = ("x = alpha*(beta - mu)/(mu*d0) - 1" if not x < math.inf
@@ -170,18 +262,6 @@ def _residual(p: Params, x: float, y: float) -> float:
     return max(abs(nx - x), abs(ny - y))
 
 
-def _positive_quadratic_root(p: Params) -> float:
-    """Positive root of d1*x**2 + (d0+d1)*x + c with c < 0.
-
-    Uses x2 = -2c/(b + sqrt(disc)) with b = d0 + d1 > 0, which avoids the
-    cancellation in (sqrt(disc) - b)/(2*d1) when 4*d1*|c| << b*b.  The
-    square root of disc = b*b - 4*d1*c is taken as
-    sqrt(b)*sqrt(b - 4*(d1/b)*c), so b*b never overflows (d1/b <= 1).
-    """
-    a, b, c = larval_quadratic(p)
-    return -2.0 * c / (b + math.sqrt(b) * math.sqrt(b - 4.0 * (a / b) * c))
-
-
 def fixed_point_locations(
     p: Params,
     sample_grid: tuple[float, ...] = DEFAULT_CONTINUUM_GRID,
@@ -211,7 +291,8 @@ def fixed_point_locations(
             origin, (*phi1_point(p), FormulaTag.PHI1_CLOSED_FORM))
 
     if region == "phi2":
-        x2 = _positive_quadratic_root(p)
+        # a = d1 > 0, b > 0 and c < 0: c/q is the positive root
+        x2 = _quadratic(*larval_quadratic(p))[1].real
         return FixedPointKind.TWO_POINTS, (
             origin, (x2, float(gamma(p, x2)), FormulaTag.PHI2_CLOSED_FORM))
 

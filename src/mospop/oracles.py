@@ -30,7 +30,7 @@ def quad_roots(a: float, b: float, c: float) -> tuple[complex, ...]:
     """Roots of a*x**2 + b*x + c as numpy's companion-matrix eigenvalues.
 
     A deliberately plain reference for the production solver
-    stability.quad_roots, sharing no code with it.  np.roots drops leading
+    fixed_points.quad_roots, sharing no code with it.  np.roots drops leading
     zero coefficients, so a = 0 gives the single linear root, and a
     constant, the zero polynomial included, gives none.  Sorted by
     descending real part, then descending imaginary part.  It does no

@@ -27,13 +27,14 @@ x* attracts on the whole invariance region except the corner (2, 1), where
 U'(x*) = -1 exactly, U becomes the involution (1 - x)/(1 + x), and every
 point except x* lies on a 2-cycle.  Candidate 2-cycles elsewhere solve
 
-    (1 - beta)*x**2 + (2 - alpha)*x + 1 + beta + alpha/(beta - 2) = 0,
+    (beta - 1)*(beta - 2)*x**2 + (alpha - 2)*(beta - 2)*x
+        - (alpha + (beta - 2)*(beta + 1)) = 0,
 
 whose roots enter [0, 1] only for (1 + beta)*(2 - beta) <= alpha
 <= 4*(2 - beta)/(3 - beta); inside the invariance region that pins
 (alpha, beta) = (2, 1), so away from the corner the 2-cycle set is empty.
-For beta = 1 the equation degenerates to (2 - alpha)*(x + 1) = 0 and is
-handled as its own branch.
+For beta = 1 the equation is linear with root -1, and for beta = 2 it is
+the constant -alpha: no 2-cycle either way.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ import math
 from enum import Enum
 from typing import NamedTuple, Optional
 
+from .fixed_points import quad_roots
 from .params import SimplexClass, in_invariance_region, shape_class
-from .stability import quad_roots
 
 __all__ = [
     "InvarianceCheck",
@@ -241,7 +242,7 @@ class Period2Set(NamedTuple):
     2-cycle (only at (alpha, beta) = (2, 1)); roots then holds the interval
     endpoints (0, 1) rather than isolated solutions.  containment_holds
     reports the closed-form root-containment condition
-    (1 + beta)*(2 - beta) <= alpha <= 4*(2 - beta)/(3 - beta).
+    (1 + beta)*(2 - beta) <= alpha <= 4*(2 - beta)/(3 - beta), beta != 3.
     """
 
     kind: Period2Kind
@@ -250,17 +251,19 @@ class Period2Set(NamedTuple):
 
 
 def _containment_holds(sp: SimplexParams) -> bool:
-    return (1.0 + sp.beta) * (2.0 - sp.beta) <= sp.alpha <= 4.0 * (2.0 - sp.beta) / (
-        3.0 - sp.beta
-    )
+    b = sp.beta
+    # at beta = 3 the bound is undefined, and the 2-cycle quadratic
+    # 2x**2 + (alpha - 2)x - (alpha + 4) is negative on all of [0, 1]
+    return b != 3.0 and (1.0 + b) * (2.0 - b) <= sp.alpha <= 4.0 * (2.0 - b) / (3.0 - b)
 
 
 def period2_set(sp: SimplexParams) -> Period2Set:
     """Solve for genuine 2-cycles of U inside [0, 1].
 
     Factoring fixed points out of U(U(x)) = x leaves a quadratic (linear
-    when beta = 1) whose real roots are screened to [0, 1], checked for
-    U(U(x)) = x within PERIOD2_TOL, and stripped of period-1 impostors.
+    when beta = 1, constant when beta = 2) whose real roots are screened to
+    [0, 1], checked for U(U(x)) = x within PERIOD2_TOL, and stripped of
+    period-1 impostors.
     """
     contain = _containment_holds(sp)
     if sp.alpha == 2.0 and sp.beta == 1.0:
@@ -270,10 +273,9 @@ def period2_set(sp: SimplexParams) -> Period2Set:
             containment_holds=contain,
         )
 
-    a2 = 1.0 - sp.beta
-    b2 = 2.0 - sp.alpha
-    c2 = 1.0 + sp.beta + sp.alpha / (sp.beta - 2.0)
-    candidates = quad_roots(a2, b2, c2)
+    a, b = sp.alpha, sp.beta
+    candidates = quad_roots((b - 1.0) * (b - 2.0), (a - 2.0) * (b - 2.0),
+                            -(a + (b - 2.0) * (b + 1.0)))
 
     kept: list[float] = []
     for r in candidates:

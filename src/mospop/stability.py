@@ -34,11 +34,12 @@ and are kept visible rather than patched over:
 from __future__ import annotations
 
 import math
-import sys
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .fixed_points import FormulaTag, State, _residual, fixed_point_locations
+# the private names are the arithmetic kernels the two modules share
+from .fixed_points import (_MIN_NORMAL, FormulaTag, State, _ldexp, _quadratic,
+                           _residual, fixed_point_locations)
 from .params import Params, birth_threshold, preserves_quadrant
 
 if TYPE_CHECKING:
@@ -46,7 +47,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DeclaredType",
-    "DegenerateAllZero",
     "FixedPointType",
     "NotAFixedPoint",
     "OutsideDeclaredRegion",
@@ -62,7 +62,6 @@ __all__ = [
     "jacobian",
     "jacobian_entries",
     "modulus_type",
-    "quad_roots",
     "spectral_radius_of",
     "trace_det",
 ]
@@ -113,100 +112,14 @@ def trace_det(j00, j01, j10, j11):
     return j00 + j11, j00 * j11 - j01 * j10
 
 
-_MIN_NORMAL = sys.float_info.min
-
-
-class DegenerateAllZero(ValueError):
-    """All three quadratic coefficients vanish; every number is a root."""
-
-
-def _ldexp(v: float, k: int) -> float:
-    """v * 2**k, saturating to +-inf where that overflows (math.ldexp raises)."""
-    try:
-        return math.ldexp(v, k)
-    except OverflowError:
-        return math.copysign(math.inf, v)
-
-
-def _quadratic(a: float, b: float, c: float) -> tuple[complex, complex]:
-    """The two roots of a*x**2 + b*x + c, a != 0, in no particular order.
-
-    q = -(b + sign(b)*sqrt(disc))/2 gives the roots q/a and c/q without
-    cancellation.  Where disc = b*b - 4*a*c or 2*a leaves the normal range,
-    disc is formed from a quadratic rescaled exactly by powers of two
-    instead; a root beyond the double range saturates to +-inf.
-    """
-    disc = b * b - 4.0 * a * c
-    two_a = 2.0 * a
-    if _MIN_NORMAL <= abs(disc) < math.inf and _MIN_NORMAL <= abs(two_a) < math.inf:
-        if disc > 0.0:
-            s = math.sqrt(disc)
-            q = -0.5 * (b + s) if b >= 0.0 else -0.5 * (b - s)
-            return complex(q / a), complex(c / q)
-        re = -b / two_a
-        im = math.sqrt(-disc) / two_a
-        return complex(re, im), complex(re, -im)
-    # Substitute x = 2**k * y and divide by 2**(ea + 2k): the scaled
-    # quadratic A*y**2 + B*y + C has A, |C| in [0.5, 2) and B = mb * 2**eb2.
-    A, ea = math.frexp(a)
-    mb, eb = math.frexp(b)
-    mc, ec = math.frexp(c)
-    k = (ec - ea) // 2 if c != 0.0 else (eb - ea if b != 0.0 else 0)
-    C = math.ldexp(mc, ec - ea - 2 * k)
-    eb2 = eb - ea - k
-    if mb != 0.0 and eb2 > 500:
-        # 4*A*C is below half an ulp of B*B, so sqrt(disc) rounds to |B|
-        # and the roots are -b/a and -c/b exactly to rounding
-        return complex(-b / a), complex(-c / b)
-    B = math.ldexp(mb, eb2)
-    disc = B * B - 4.0 * A * C
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        q = -0.5 * (B + s) if B >= 0.0 else -0.5 * (B - s)
-        if q == 0.0:
-            return 0j, 0j
-        # where the unscaled q fits, each root rounds once
-        q_full = _ldexp(q, ea + k)
-        if _MIN_NORMAL <= abs(q_full) < math.inf:
-            return complex(q_full / a), complex(c / q_full)
-        return complex(_ldexp(q / A, k)), complex(_ldexp(C / q, k))
-    # the unscaled -b/(2a) rounds once and keeps a real part that a
-    # subnormal B would lose
-    re = -b / two_a if abs(two_a) < math.inf else _ldexp(-B / (2.0 * A), k)
-    im = _ldexp(math.sqrt(-disc) / (2.0 * A), k)
-    return complex(re, im), complex(re, -im)
-
-
-def quad_roots(a: float, b: float, c: float) -> tuple[complex, ...]:
-    """Roots of a*x**2 + b*x + c, for any finite coefficients.
-
-    A true quadratic gives a pair (real roots as complex with zero
-    imaginary part), sorted by descending real part, then descending
-    imaginary part; a = 0 gives the linear root.  A root beyond the double
-    range is left out, as the linear fallback leaves out the root that
-    escapes to infinity as a -> 0; a complex pair goes together.  Raises
-    DegenerateAllZero when a = b = c = 0.
-    """
-    if a == 0.0:
-        if b == 0.0:
-            if c == 0.0:
-                raise DegenerateAllZero("0 == 0 holds for every x")
-            return ()
-        r = -c / b
-        return (complex(r),) if math.isfinite(r) else ()
-    roots = [r for r in _quadratic(a, b, c)
-             if abs(r.real) < math.inf and abs(r.imag) < math.inf]
-    roots.sort(key=lambda r: (-r.real, -r.imag))
-    return tuple(roots)
-
-
 def characteristic_roots(tr: float, det: float) -> tuple[complex, complex]:
     """Roots of lam**2 - tr*lam + det, ordered by descending modulus.
 
     Ties in modulus break by descending real part, then descending
     imaginary part.  A root beyond the double range is inf.  The roots come
-    from _quadratic; the polynomial is passed as -lam**2 + tr*lam - det so
-    that tr = +-0 picks the same root first as tr > 0.
+    from fixed_points._quadratic, in its order where two roots tie; the
+    polynomial is passed as -lam**2 + tr*lam - det so that tr = +-0 picks
+    the same root first as tr > 0.
     """
     first, second = _quadratic(-1.0, tr, -det)
     m1, m2 = abs(first), abs(second)
@@ -220,9 +133,9 @@ def spectral_radius_of(tr, det) -> np.ndarray:
 
     tr and det are floats or arrays that broadcast together.  Where the
     discriminant tr*tr - 4*det is positive and normal, this is the real
-    branch of _quadratic(-1.0, tr, -det) as array arithmetic, in the same
-    operation order.  Each other cell goes through characteristic_roots
-    itself.
+    branch of fixed_points._quadratic(-1.0, tr, -det) as array arithmetic,
+    in the same operation order.  Each other cell goes through
+    characteristic_roots itself.
     """
     import numpy as np
 

@@ -299,6 +299,19 @@ def appended() -> list[tuple[str, list[str]]]:
         ("exit2 sweep fixed rate on an axis",
          ["sweep", "--axis1", "alpha:1:2:1", "--axis2", "beta:1:2:1",
           "--quantity", "r0", "--mu", "1", "--alpha", "3", "--output", "-"]),
+        # the 2-cycle quadratic with its denominator cleared: a constant at
+        # beta = 2, and no containment at beta = 3
+        ("simplex beta 2", ["simplex", "--alpha", "1", "--beta", "2"]),
+        ("simplex beta 3", ["simplex", "--alpha", "1", "--beta", "3"]),
+        # phi2 points where the discriminant overflows: one fits, and one
+        # whose y does not fit must not come back as a second origin
+        ("fixed-points phi2 with an overflowing discriminant",
+         ["fixed-points", "--alpha", "1", "--beta", "1e298", "--mu", "1e-10",
+          "--d1", "1"]),
+        ("exit2 fixed-points phi2 beyond the double range",
+         ["fixed-points", "--alpha", "1.51041395633044e+275", "--beta",
+          "8.74552075343304e-247", "--mu", "1.5589363987788385e-279", "--d0",
+          "7.87881045432017e-197", "--d1", "6.176065267504663e-150"]),
     ]
 
 

@@ -469,6 +469,12 @@ class TestSimplexCommand:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("beta", ["2", "3"])
+    def test_beta_where_a_period2_denominator_vanishes(self, capsys, beta):
+        d = run_json(capsys, ["simplex", "--alpha", "1", "--beta", beta])
+        assert d["period2"] == {"kind": "empty", "roots": [],
+                                "containment_holds": False}
+
     def test_human_shape_line(self, capsys):
         code, out, _ = run(capsys, ["simplex", "--alpha", "2", "--beta", "1"])
         assert code == 0

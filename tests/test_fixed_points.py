@@ -1,6 +1,7 @@
 """Fixed-point enumeration and the closed forms behind it."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mospop.fixed_points import (
     find_fixed_points,
     fixed_point_locations,
     gamma,
+    larval_quadratic,
     phi1_point,
     step,
 )
@@ -230,6 +232,44 @@ def test_positive_point_kills_the_quadratic():
         val = p.d1 * x * x + (p.d0 + p.d1) * x + c
         scale = max(1.0, abs(p.d1) * x * x, (p.d0 + p.d1) * x, abs(c))
         assert abs(val) <= 1e-9 * scale
+
+
+def test_phi2_point_is_within_4_ulps_of_the_exact_root():
+    # a = d1 > 0 and b > 0, so a*x**2 + b*x + c increases for x > 0: the
+    # exact root of the float coefficients lies between two x where the
+    # rational value of the quadratic changes sign
+    def ulps(x, n, toward):
+        for _ in range(n):
+            x = math.nextafter(x, toward)
+        return x
+
+    rng = np.random.default_rng(20261019)
+    for p in sample_region("phi2", 2000, rng):
+        a, b, c = map(Fraction, larval_quadratic(p))
+        x = find_fixed_points(p).points[1].location.x
+        lo, hi = Fraction(ulps(x, 4, 0.0)), Fraction(ulps(x, 4, math.inf))
+        assert (a * lo + b) * lo + c <= 0 <= (a * hi + b) * hi + c
+
+
+# x fits, but y = gamma(x) is about alpha/mu = 9.7e553
+PHI2_Y_BEYOND = (1.51041395633044e+275, 8.74552075343304e-247, 1.5589363987788385e-279,
+                 7.87881045432017e-197, 6.176065267504663e-150)
+
+
+@pytest.mark.parametrize("rates, want", [
+    # b - 4*(a/b)*c overflows, so the closed form gave inf/inf
+    ((1.0, 1e298, 1e-10, 0.0, 1.0), (1e154, 1e10)),
+    # sqrt(disc) overflows, so the closed form gave -2c/inf = 0: a second origin
+    (PHI2_Y_BEYOND, (3.7039975881063645e+228, math.inf)),
+])
+def test_phi2_point_where_the_discriminant_overflows(rates, want):
+    kind, (origin, (x, y, tag)) = fixed_point_locations(validate(*rates))
+    assert (x, y, tag) == (*want, FormulaTag.PHI2_CLOSED_FORM)
+
+
+def test_phi2_point_that_leaves_the_double_range_is_an_error():
+    with pytest.raises(ValueError, match="state must be finite"):
+        find_fixed_points(validate(*PHI2_Y_BEYOND))
 
 
 def test_phi1_closed_form_matches_the_linear_death_balance():

@@ -1,7 +1,7 @@
 """Quadratic roots against the oracle, finite differences, period scans, samplers.
 
 The oracles are checked hard because everything else leans on them.
-TestQuadRoots checks the production solver stability.quad_roots directly;
+TestQuadRoots checks the production solver fixed_points.quad_roots directly;
 TestKernelAgainstOracle compares it with the oracle's np.roots reference,
 and TestOracleIndependence keeps the production modules from importing
 the oracles at all.
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import mospop
 from mospop import oracles
+from mospop.fixed_points import DegenerateAllZero, quad_roots
 from mospop.oracles import (
     fd_derivative,
     fd_jacobian,
@@ -29,7 +30,6 @@ from mospop.oracles import (
 )
 from mospop.params import classify
 from mospop.simplex import SimplexParams, fixed_point_u, u_map
-from mospop.stability import DegenerateAllZero, quad_roots
 from samplers import sample_outside_pairs
 
 

@@ -262,6 +262,21 @@ class TestPeriodTwo:
         p2 = period2_set(SimplexParams(1.5, 1.0))
         assert p2.kind is Period2Kind.EMPTY
 
+    # for these alpha, U keeps [0, 1] right of its pole at -1, as the scan needs
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_beta_two_leaves_a_constant_and_no_cycle(self, alpha):
+        # the cleared 2-cycle quadratic is the constant -alpha at beta = 2
+        sp = SimplexParams(alpha, 2.0)
+        assert period2_set(sp).kind is Period2Kind.EMPTY
+        assert grid_period_scan(lambda x: u_map(sp, x), (0.0, 1.0), 2, grid=400) == []
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_beta_three_has_no_cycle_and_no_containment(self, alpha):
+        # 2x**2 + (alpha - 2)x - (alpha + 4) is negative at 0 and at 1
+        sp = SimplexParams(alpha, 3.0)
+        assert period2_set(sp) == (Period2Kind.EMPTY, (), False)
+        assert grid_period_scan(lambda x: u_map(sp, x), (0.0, 1.0), 2, grid=400) == []
+
     def test_scan_agreement_inside_the_region(self):
         rng = np.random.default_rng(97)
         for alpha, beta in sample_invariance_pairs(60, rng):
