@@ -24,10 +24,11 @@ import re
 import sys
 from typing import Optional, Sequence
 
-# The library modules are imported by the subcommands that call them, so a
-# start loads only what its subcommand runs.  oracles stays here: the
-# benchmark's tracer looks it up in sys.modules after `import mospop.cli`.
-from . import oracles
+# oracles and params are loaded by every start (oracles imports params, and
+# the benchmark's tracer looks oracles up in sys.modules after `import
+# mospop.cli`).  The other library modules are imported by the subcommands
+# that call them, so a start loads only what its subcommand runs.
+from . import oracles, params
 
 TOL_ENV = "MOSPOP_TOL"
 NUMBER_FORMAT = ".12g"  # every number printed: 12 significant digits
@@ -91,8 +92,6 @@ def _write(path: str, text: str) -> None:
 
 
 def _params_from_args(args) -> params.Params:
-    from . import params
-
     return params.validate(args.alpha, args.beta, args.mu, args.d0, args.d1)
 
 
@@ -112,8 +111,6 @@ def _emit(args, payload: dict, human: list[str]) -> None:
 
 
 def cmd_classify(args) -> int:
-    from . import params
-
     p = _params_from_args(args)
     label = params.classify(p)
     flags = {k: v for k, v in label._asdict().items() if k.startswith("in_")}
@@ -260,7 +257,7 @@ def _stability_payload(p: params.Params, z, tol: float, want_verify: bool) -> di
 
 
 def cmd_stability(args) -> int:
-    from . import fixed_points, params, stability
+    from . import fixed_points, stability
 
     p = _params_from_args(args)
     tol = _tol(args)
@@ -511,14 +508,14 @@ def cmd_simplex(args) -> int:
                 lim_payload["iterates"] = xs
 
     if args.verify:
-        xs_fp = simplex.fixed_point_u(sp)
+        xs_fp = report.x_star
         resid = abs(float(simplex.u_map(sp, xs_fp)) - xs_fp)
         fd = oracles.fd_derivative(lambda x: float(simplex.u_map(sp, x)), xs_fp)
         scan = oracles.grid_period_scan(lambda x: simplex.u_map(sp, x), (0.0, 1.0), 2,
                                         grid=512)
         payload["verification"] = {
             "fixed_point_residual": resid,
-            "fd_derivative_gap": abs(fd - float(simplex.u_derivative(sp, xs_fp))),
+            "fd_derivative_gap": abs(fd - report.u_prime_at_star),
             "period2_scan_count": len(scan),
         }
         human.append(
@@ -540,8 +537,6 @@ def _parse_axis(spec: str) -> tuple[str, float, float, int]:
     count is capped at MAX_VALUES + 1, so a huge or overflowing span
     fails the grid size check in cmd_sweep without building any values.
     """
-    from . import params
-
     try:
         name, lo, hi, step_ = spec.split(":")
         lo, hi, step_ = float(lo), float(hi), float(step_)
@@ -571,8 +566,6 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list:
     """
     import numpy as np
 
-    from . import params
-
     def flat(v) -> list:
         return np.broadcast_to(v, shape).ravel().tolist()
 
@@ -590,15 +583,13 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list:
     if quantity == "spectral_radius_at_origin":
         from . import stability
 
-        entries = stability.jacobian_entries(alpha, beta, mu, d0, d1, 0.0)
-        return flat(stability.spectral_radius_of(*stability.trace_det(*entries)))
+        return flat(stability.spectral_radius_of(
+            *stability.jacobian_entries(alpha, beta, mu, d0, d1, 0.0)))
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
 def cmd_sweep(args) -> int:
     import numpy as np
-
-    from . import params
 
     if args.json and args.output == "-":
         _usage_error("--json needs --output PATH")
@@ -684,7 +675,7 @@ def cmd_verify(args) -> int:
         _usage_error(f"--seed must be >= 0, got {args.seed}")
     import numpy as np
 
-    from . import fixed_points, params, simplex, stability
+    from . import fixed_points, simplex, stability
 
     rng = np.random.default_rng(args.seed)
     n = args.draws

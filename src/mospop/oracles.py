@@ -106,8 +106,9 @@ def grid_period_scan(
 
     xs = np.linspace(lo, hi, grid)
     try:
-        fx = _iterate(f, xs.copy(), period)
-        big_f = np.asarray(fx, dtype=float) - xs
+        # a map that overflows on the grid warns per element; the values stay
+        with np.errstate(all="ignore"):
+            big_f = np.asarray(_iterate(f, xs.copy(), period), dtype=float) - xs
     except Exception:
         # map not vectorized; fall back to a scalar sweep
         big_f = np.array([_iterate(f, float(x), period) - float(x) for x in xs])

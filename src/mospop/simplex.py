@@ -20,12 +20,11 @@ U has exactly one fixed point in [0, 1],
 
     x* = (sqrt(alpha**2 + 4*beta**2) - alpha)/(2*beta),
 
-with U'(x*) = 1 - (alpha**2 + 4*beta**2
-                   + (alpha - 2*beta)*sqrt(alpha**2 + 4*beta**2))/(2*alpha).
+and its multiplier is U'(x*) = 1 - beta - alpha/(1 + x*)**2.
 
 x* attracts on the whole invariance region except the corner (2, 1), where
-U'(x*) = -1 exactly, U becomes the involution (1 - x)/(1 + x), and every
-point except x* lies on a 2-cycle.  Candidate 2-cycles elsewhere solve
+U'(x*) = -1, U becomes the involution (1 - x)/(1 + x), and every point
+except x* lies on a 2-cycle.  Candidate 2-cycles elsewhere solve
 
     (beta - 1)*(beta - 2)*x**2 + (alpha - 2)*(beta - 2)*x
         - (alpha + (beta - 2)*(beta + 1)) = 0,
@@ -170,10 +169,20 @@ def fixed_point_u(sp: SimplexParams) -> float:
 def fixed_point_u_of(alpha: float, beta: float) -> float:
     """x* for plain float rates alpha, beta > 0.
 
-    Evaluated as 2*beta/(sqrt(alpha**2 + 4*beta**2) + alpha), which is the
-    cancellation-free form of (sqrt(alpha**2 + 4*beta**2) - alpha)/(2*beta).
+    Evaluated as beta/(sqrt((alpha/2)**2 + beta**2) + alpha/2), the
+    cancellation-free form of (sqrt(alpha**2 + 4*beta**2) - alpha)/(2*beta)
+    with numerator and denominator halved.  x* depends only on alpha/beta:
+    where that denominator overflows, or comes near the subnormal range
+    and would round away digits, both rates are scaled by the same power
+    of two, exactly, and the denominator is formed again.
     """
-    return 2.0 * beta / (math.hypot(alpha, 2.0 * beta) + alpha)
+    half = 0.5 * alpha
+    den = math.hypot(half, beta) + half
+    if not 2.0**-960 <= den < math.inf:
+        scale = 0.5 if den > 1.0 else 2.0**600
+        half, beta = 0.5 * (scale * alpha), scale * beta
+        den = math.hypot(half, beta) + half
+    return beta / den
 
 
 class UPointType(Enum):
@@ -191,28 +200,23 @@ class UStability(NamedTuple):
 
 
 def u_stability(sp: SimplexParams) -> UStability:
-    """Stability of x* from the closed-form multiplier.
+    """Stability of x* from the multiplier u_derivative(sp, x*).
 
-    The closed form evaluates to exactly -1 at (alpha, beta) = (2, 1);
-    |U'(x*)| within 1e-12 of 1 is reported as BOUNDARY.
+    The multiplier is U' at the computed x*, one formula with no special
+    case; |U'(x*)| within 1e-12 of 1 is reported as BOUNDARY.  At the
+    corner (2, 1), where the exact multiplier is -1, it comes out as
+    -(1 - 2**-52) and is typed BOUNDARY; where alpha = 2*beta it is within
+    2**-52 of the exact 1 - 2*beta.
     """
-    root = math.hypot(sp.alpha, 2.0 * sp.beta)
-    up = 1.0 - (
-        sp.alpha * sp.alpha
-        + 4.0 * sp.beta * sp.beta
-        + (sp.alpha - 2.0 * sp.beta) * root
-    ) / (2.0 * sp.alpha)
+    xs = fixed_point_u(sp)
+    up = u_derivative(sp, xs)
     if abs(abs(up) - 1.0) <= BOUNDARY_BAND:
         kind = UPointType.BOUNDARY
     elif abs(up) < 1.0:
         kind = UPointType.ATTRACTING
     else:
         kind = UPointType.REPELLING
-    return UStability(
-        x_star=fixed_point_u(sp),
-        u_prime_at_star=up,
-        classification=kind,
-    )
+    return UStability(x_star=xs, u_prime_at_star=up, classification=kind)
 
 
 def x_minimum(sp: SimplexParams) -> Optional[float]:

@@ -128,28 +128,28 @@ def characteristic_roots(tr: float, det: float) -> tuple[complex, complex]:
     return (first, second)
 
 
-def spectral_radius_of(tr, det) -> np.ndarray:
-    """abs(characteristic_roots(tr, det)[0]) elementwise, bit for bit.
+def spectral_radius_of(j00, j01, j10, j11) -> np.ndarray:
+    """abs(_matrix_roots(j00, j01, j10, j11)[0]) elementwise, bit for bit.
 
-    tr and det are floats or arrays that broadcast together.  Where the
-    discriminant tr*tr - 4*det is positive and normal, this is the real
-    branch of fixed_points._quadratic(-1.0, tr, -det) as array arithmetic,
-    in the same operation order.  Each other cell goes through
-    characteristic_roots itself.
+    The four Jacobian entries are floats or arrays that broadcast together.
+    Where the discriminant tr*tr - 4*det is positive and normal, this is
+    the real branch of fixed_points._quadratic(-1.0, tr, -det) as array
+    arithmetic, in the same operation order.  Each other cell goes through
+    _matrix_roots itself, the solver classify_fixed_point reports from.
     """
     import numpy as np
 
-    tr, det = np.broadcast_arrays(np.asarray(tr, dtype=float),
-                                  np.asarray(det, dtype=float))
+    entries = [np.asarray(j, dtype=float) for j in (j00, j01, j10, j11)]
     with np.errstate(all="ignore"):
+        tr, det = np.broadcast_arrays(*trace_det(*entries))
         disc = tr * tr - 4.0 * det
         s = np.sqrt(disc)
         q = np.where(tr >= 0.0, -0.5 * (tr + s), -0.5 * (tr - s))
         radius = np.asarray(np.maximum(np.abs(q), np.abs(det / q)))
     rest = ~((_MIN_NORMAL <= disc) & (disc < math.inf))
     if rest.any():
-        radius[rest] = [abs(characteristic_roots(t, d)[0])
-                        for t, d in zip(tr[rest].tolist(), det[rest].tolist())]
+        cells = zip(*(np.broadcast_to(j, rest.shape)[rest].tolist() for j in entries))
+        radius[rest] = [abs(_matrix_roots(*cell)[0]) for cell in cells]
     return radius
 
 

@@ -312,6 +312,27 @@ def appended() -> list[tuple[str, list[str]]]:
          ["fixed-points", "--alpha", "1.51041395633044e+275", "--beta",
           "8.74552075343304e-247", "--mu", "1.5589363987788385e-279", "--d0",
           "7.87881045432017e-197", "--d1", "6.176065267504663e-150"]),
+        # x* where 2*beta or hypot(alpha, 2*beta) overflows
+        ("simplex x* where 2*beta overflows", ["simplex", "--alpha", "1", "--beta", "1e308"]),
+        ("sweep x_star where 2*beta overflows",
+         ["sweep", "--axis1", "alpha:1:2:1", "--axis2", "beta:1e308:1e308:1",
+          "--quantity", "x_star", "--output", "-"]),
+        ("sweep x_star near the largest alpha",
+         ["sweep", "--axis1", "alpha:1e308:1.2e308:1e307", "--axis2", "beta:1:1:1",
+          "--quantity", "x_star", "--output", "-"]),
+        # radius cells whose determinant overflows: to inf - inf, and to inf
+        ("sweep spectral radius where the determinant is inf - inf",
+         ["sweep", "--axis1", "alpha:2.1505788236058427e+272:2.1505788236058427e+272:1",
+          "--axis2", "beta:2.0502665463542175e+288:2.0502665463542175e+288:1",
+          "--quantity", "spectral_radius_at_origin", "--mu", "6.416820027389572e+40",
+          "--d0", "2.060381975368855e+125", "--output", "-"]),
+        ("sweep spectral radius where the determinant is inf",
+         ["sweep", "--axis1", "alpha:1:2:1", "--axis2", "mu:1:1:1",
+          "--quantity", "spectral_radius_at_origin", "--beta", "1e308",
+          "--output", "-"]),
+        # U'(x*) where the former closed form was nan
+        ("simplex multiplier at extreme rates",
+         ["simplex", "--alpha", "1e-300", "--beta", "1e300"]),
     ]
 
 

@@ -6,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -15,7 +17,9 @@ from mospop import (
     FixedPointKind,
     FixedPointType,
     SimplexParams,
+    analyze,
     basic_offspring_number,
+    classify_fixed_point,
     eigenvalues,
     find_fixed_points,
     fixed_point_u,
@@ -33,6 +37,7 @@ from mospop.cli import (
     fmt,
     main,
 )
+from mospop.params import RATES
 
 EX3 = ["--alpha", "6", "--beta", "0.5", "--mu", "0.4", "--d0", "0.6"]
 
@@ -485,6 +490,16 @@ class TestSimplexCommand:
         assert d["verification"]["fixed_point_residual"] <= 1e-12
         assert d["verification"]["fd_derivative_gap"] <= 1e-6
 
+    @pytest.mark.parametrize("alpha, beta", [("1e-300", "1e300"), ("1e300", "1e-300")])
+    def test_verify_where_u_overflows_writes_no_warning(self, capsys, alpha, beta):
+        # the period-2 scan iterates U over a grid, where U overflows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, ["simplex", "--alpha", alpha, "--beta", beta,
+                                        "--verify"])
+        assert (code, err) == (0, "")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
 
 class TestSweep:
     def test_stdout_grid(self, capsys):
@@ -685,6 +700,48 @@ class TestSweep:
             with pytest.raises(ValueError) as exc:
                 validate(0.0, -1.0, 1.0, 0.0, 0.0)
         assert err == f"error: {exc.value}\n"
+
+    @pytest.mark.parametrize("quantity, seed", [("spectral_radius_at_origin", 11),
+                                                ("x_star", 13)])
+    def test_full_range_cells_are_the_numbers_the_reports_print(self, capsys,
+                                                                quantity, seed):
+        # 300 random 4x4 grids, every rate about 10**U(-300, 300), each axis
+        # steps of 1% to 10 times its first value: each radius cell
+        # is the modulus `stability --at 0 0` reports, each x* cell the x*
+        # `simplex` reports
+        rng = np.random.default_rng(seed)
+        names = ("alpha", "beta") if quantity == "x_star" else RATES
+
+        def rate():
+            return float(10.0 ** rng.uniform(-300, 300))
+
+        for _ in range(300):
+            axes = [str(n) for n in rng.permutation(names)[:2]]
+            specs = []
+            for name in axes:
+                lo = rate()
+                step = lo * float(10.0 ** rng.uniform(-2, 1))
+                specs.append(f"{name}:{lo!r}:{lo + 3 * step!r}:{step!r}")
+            fixed = {n: rate() for n in names if n not in axes}
+            argv = ["sweep", "--axis1", specs[0], "--axis2", specs[1],
+                    "--quantity", quantity, "--output", "-"]
+            for name, v in fixed.items():
+                argv += [f"--{name}", repr(v)]
+            code, out, err = run(capsys, argv)
+            assert code == 0, err
+            (name1, lo1, step1, n1), (name2, lo2, step2, n2) = map(_parse_axis, specs)
+            cells = [ln.rsplit(",", 1)[1] for ln in out.split("\n")[1:-1]]
+            assert len(cells) == n1 * n2 == 16
+            for k, got in enumerate(cells):
+                i, j = divmod(k, n2)
+                rates = {"d0": 0.0, "d1": 0.0, **fixed,
+                         name1: lo1 + i * step1, name2: lo2 + j * step2}
+                if quantity == "x_star":
+                    want = analyze(SimplexParams(rates["alpha"], rates["beta"])).x_star
+                else:
+                    p = validate(*(rates[n] for n in RATES))
+                    want = abs(classify_fixed_point(p, (0.0, 0.0)).eigenvalues[0])
+                assert got == fmt(want), (argv, rates)
 
     def test_unknown_quantity_exit_2(self, capsys):
         code, *_ = run(capsys, ["sweep", "--axis1", "alpha:1:2:1",

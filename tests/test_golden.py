@@ -77,6 +77,13 @@ def test_only_output_computed_with_numpy_carries_a_numpy_tag():
     assert "exit2 verify no draws" not in tagged and "verify" in tagged
 
 
+def test_no_successful_entry_prints_nan():
+    for e in ENTRIES:
+        if e["exit"] == 0:
+            for text in (e["stdout"], *e["files"].values()):
+                assert not re.search(r"\bnan\b", text, re.IGNORECASE), e["name"]
+
+
 def _origin_discriminants(argv: list[str]) -> list[float]:
     """tr*tr - 4*det of the Jacobian at the origin, per cell of a sweep's argv."""
     opts = dict(zip(argv[1::2], argv[2::2]))

@@ -1,6 +1,8 @@
 """The one-dimensional map on the total-population simplex."""
 
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from mospop.simplex import (
 from samplers import sample_outside_pairs
 
 CORNER = SimplexParams(2.0, 1.0)
+MAX = sys.float_info.max
 
 
 def draw_classes(rng, n):
@@ -175,8 +178,10 @@ class TestFixedPointAndStability:
         assert fixed_point_u(SimplexParams(1e-12, 0.5)) == pytest.approx(1.0, abs=1e-9)
 
     def test_corner_is_the_boundary_case(self):
+        # U' at the computed x*, with no special case: the exact -1 comes out
+        # 2**-52 above, and the 1e-12 band types it BOUNDARY
         st_ = u_stability(CORNER)
-        assert st_.u_prime_at_star == -1.0  # exactly
+        assert st_.u_prime_at_star == -(1.0 - 2.0**-52)  # exactly
         assert st_.classification is UPointType.BOUNDARY
 
     def test_unit_rates_attract(self):
@@ -184,13 +189,45 @@ class TestFixedPointAndStability:
         assert st_.u_prime_at_star == pytest.approx(-0.3819660112501051, abs=1e-12)
         assert st_.classification is UPointType.ATTRACTING
 
-    def test_slope_formula_agrees_with_the_derivative_at_the_fixed_point(self):
-        rng = np.random.default_rng(79)
-        for alpha, beta in sample_invariance_pairs(1000, rng):
-            sp = SimplexParams(alpha, beta)
-            assert abs(
-                u_stability(sp).u_prime_at_star - u_derivative(sp, fixed_point_u(sp))
-            ) <= 1e-12
+    @pytest.mark.parametrize("lo, hi", [(-12, 12), (-300, 300)])
+    def test_multiplier_is_accurate_at_every_scale(self, lo, hi):
+        # against 80 digits: within 8 ulps of |1 - beta| + alpha/(1 + x*)**2,
+        # the size of the terms U'(x*) = 1 - beta - alpha/(1 + x*)**2 sums
+        rng = np.random.default_rng(7)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            for alpha, beta in (10.0 ** rng.uniform(lo, hi, (20_000, 2))).tolist():
+                up = u_stability(SimplexParams(alpha, beta)).u_prime_at_star
+                assert math.isfinite(up), (alpha, beta)
+                a, b = Decimal(alpha), Decimal(beta)
+                slope = a / (1 + 2 * b / ((a * a + 4 * b * b).sqrt() + a)) ** 2
+                size = math.ulp(float(abs(1 - b) + slope))
+                assert float(abs(Decimal(up) - (1 - b - slope))) <= 8 * size, (alpha, beta)
+
+    def test_multiplier_where_alpha_is_twice_beta(self):
+        # the exact value is 1 - 2*beta; it comes out within 2**-52 of it
+        for beta in (0.5, 0.25, 0.75, 1.0):
+            up = u_stability(SimplexParams(2.0 * beta, beta)).u_prime_at_star
+            assert abs(up - (1.0 - 2.0 * beta)) <= 2.0**-52
+
+    def test_fixed_point_is_accurate_up_to_the_largest_double(self):
+        # edge pairs, then rates 10**U(-323, 308.25), subnormals included:
+        # x* is in [0, 1], and within 4 ulps of 80 digits wherever it is normal
+        rng = np.random.default_rng(5)
+        pairs = [(1.0, 1e308), (1.0, MAX), (MAX, 1.0), (MAX, MAX), (1e308, 1.0),
+                 (5e-324, MAX), (MAX, 5e-324), (5e-324, 5e-324), (3.5e-323, 4.4e-323),
+                 (1e-300, 1e300), (1e300, 1e-300)]
+        pairs += (10.0 ** rng.uniform(-323, 308.25, (20_000, 2))).tolist()
+        with localcontext() as ctx:
+            ctx.prec = 80
+            for alpha, beta in pairs:
+                xs = fixed_point_u(SimplexParams(alpha, beta))
+                assert 0.0 <= xs <= 1.0, (alpha, beta, xs)
+                a, b = Decimal(alpha), Decimal(beta)
+                exact = 2 * b / ((a * a + 4 * b * b).sqrt() + a)
+                if exact >= Decimal(sys.float_info.min):
+                    assert abs(Decimal(xs) - exact) <= 4 * Decimal(math.ulp(float(exact))), (
+                        alpha, beta, xs)
 
     def test_inside_the_region_never_repels(self):
         rng = np.random.default_rng(83)
@@ -343,7 +380,7 @@ class TestAnalyze:
         a = analyze(CORNER)
         assert a.invariance.region is SimplexClass.B
         assert a.x_star == pytest.approx(math.sqrt(2) - 1, abs=1e-15)
-        assert a.u_prime_at_star == -1.0
+        assert a.u_prime_at_star == -(1.0 - 2.0**-52)  # see u_stability
         assert a.stability is UPointType.BOUNDARY
         assert a.shape_class is SimplexClass.D
         assert a.monotonic_shape is ShapeKind.DECREASING

@@ -15,6 +15,7 @@ from mospop.stability import (
     FixedPointType,
     NotAFixedPoint,
     OutsideDeclaredRegion,
+    _matrix_roots,
     characteristic_roots,
     classify_fixed_point,
     declared_type_table,
@@ -195,23 +196,42 @@ class TestCharacteristicRoots:
 LOG_RATE = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
 
 
-def _scalar_radius_hex(tr: float, det: float) -> str:
-    return abs(characteristic_roots(tr, det)[0]).hex()
+def _scalar_radius_hex(j00, j01, j10, j11) -> str:
+    return abs(_matrix_roots(j00, j01, j10, j11)[0]).hex()
+
+
+def _entries_with(tr: float, det: float) -> tuple[float, float, float, float]:
+    """Jacobian entries whose trace and determinant are tr and det, signed
+    zeros included (tr = det = -0.0 is the one pair no entries give)."""
+    j11 = -0.0 if math.copysign(1.0, tr) < 0 or math.copysign(1.0, det) < 0 else 0.0
+    entries = (tr, -det, 1.0, j11)
+    assert [v.hex() for v in trace_det(*entries)] == [tr.hex(), det.hex()]
+    return entries
+
+
+# (tr, det) pairs with a signed-zero trace, named det-tr as before
+SIGNED_ZERO_TRACES = [
+    pytest.param(tr, det, id=f"{det}-{tr}")
+    for det in (0.0, -0.0, 0.25, -0.25, 1e-310, -1e-310, 1e300, -1e300)
+    for tr in (0.0, -0.0)
+    if not (str(tr) == str(det) == "-0.0")
+]
 
 
 class TestSpectralRadius:
-    """spectral_radius_of against the scalar solve, compared bit for bit."""
+    """spectral_radius_of against the scalar solver, compared bit for bit."""
 
     @given(st.lists(st.tuples(LOG_RATE, LOG_RATE, LOG_RATE, st.just(0.0) | LOG_RATE,
                               st.just(0.0) | LOG_RATE), min_size=1, max_size=20))
     @settings(max_examples=300, deadline=None)
-    def test_equals_characteristic_roots_at_the_origin(self, rates):
+    def test_equals_matrix_roots_at_the_origin(self, rates):
         columns = (np.array(c) for c in zip(*rates))
-        tr, det = trace_det(*jacobian_entries(*columns, 0.0))
-        got = spectral_radius_of(tr, det)
-        assert got.shape == tr.shape
-        for t, d, r in zip(tr.tolist(), det.tolist(), got.tolist()):
-            assert r.hex() == _scalar_radius_hex(t, d)
+        entries = jacobian_entries(*columns, 0.0)
+        got = spectral_radius_of(*entries)
+        assert got.shape == (len(rates),)
+        for cell, r in zip(zip(*(np.asarray(j).tolist() for j in entries)),
+                           got.tolist()):
+            assert r.hex() == _scalar_radius_hex(*cell)
 
     @pytest.mark.parametrize("rates, reaches", [
         ((8.011558656841118e-11, 2.2585712852944462e-08, 9.112579545501377e-10),
@@ -220,28 +240,39 @@ class TestSpectralRadius:
         ((1e200, 0.5, 0.5), lambda disc: disc == math.inf),
     ], ids=["rounded negative", "zero", "overflowing"])
     def test_planted_discriminant_branches(self, rates, reaches):
-        tr, det = trace_det(*jacobian_entries(*rates, 0.0, 0.0, 0.0))
+        entries = jacobian_entries(*rates, 0.0, 0.0, 0.0)
+        tr, det = trace_det(*entries)
         assert reaches(tr * tr - 4.0 * det)
-        assert float(spectral_radius_of(tr, det)).hex() == _scalar_radius_hex(tr, det)
+        assert float(spectral_radius_of(*entries)).hex() == _scalar_radius_hex(*entries)
 
-    @pytest.mark.parametrize("tr", [0.0, -0.0])
-    @pytest.mark.parametrize("det", [0.0, -0.0, 0.25, -0.25, 1e-310, -1e-310,
-                                     1e300, -1e300])
+    @pytest.mark.parametrize("tr, det", SIGNED_ZERO_TRACES)
     def test_signed_zero_trace_as_plain_floats(self, tr, det):
-        got = spectral_radius_of(tr, det)
+        entries = _entries_with(tr, det)
+        got = spectral_radius_of(*entries)
         assert got.shape == ()
-        assert float(got).hex() == _scalar_radius_hex(tr, det)
+        assert float(got).hex() == _scalar_radius_hex(*entries)
+
+    def test_overflowing_determinant_is_scaled_not_inf(self):
+        # det = -1*0 - 1e308*2 overflows; the eigenvalues are about
+        # -0.5 +- sqrt(2e308), well inside the double range
+        entries = (-1.0, 1e308, 2.0, 0.0)
+        assert trace_det(*entries)[1] == -math.inf
+        got = float(spectral_radius_of(*entries))
+        assert got.hex() == _scalar_radius_hex(*entries)
+        assert got == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
 
     def test_broadcast_grid_mixes_both_paths_cell_by_cell(self):
-        # det = 1 with tr = 2 has a zero discriminant, and 4e200 overflows
-        # tr*tr: those cells take the scalar solve, the rest the array path
-        tr = np.array([[2.0], [-1.5], [4e200], [0.0]])
-        det = np.array([1.0, 0.5, -2.0, 3e200])
-        got = spectral_radius_of(tr, det)
+        # j00 = 2 with det = 1 has a zero discriminant, 4e200 overflows
+        # tr*tr and j01 = -3e200 with j10 = 1e200 overflows det: those cells
+        # take the scalar solver, the rest the array path
+        j00 = np.array([[2.0], [-1.5], [4e200], [0.0]])
+        j01 = np.array([-1.0, -0.5, 2.0, -3e200])
+        j10 = np.array([1.0, 1.0, 1.0, 1e200])
+        got = spectral_radius_of(j00, j01, j10, 0.0)
         assert got.shape == (4, 4)
-        for i, t in enumerate(tr[:, 0].tolist()):
-            for j, d in enumerate(det.tolist()):
-                assert float(got[i, j]).hex() == _scalar_radius_hex(t, d)
+        for i, a in enumerate(j00[:, 0].tolist()):
+            for j, (b, c) in enumerate(zip(j01.tolist(), j10.tolist())):
+                assert float(got[i, j]).hex() == _scalar_radius_hex(a, b, c, 0.0)
 
 
 class TestClassify:
