@@ -511,11 +511,13 @@ def cmd_simplex(args) -> int:
         xs_fp = report.x_star
         resid = abs(float(simplex.u_map(sp, xs_fp)) - xs_fp)
         fd = oracles.fd_derivative(lambda x: float(simplex.u_map(sp, x)), xs_fp)
+        u_prime = report.u_prime_at_star
         scan = oracles.grid_period_scan(lambda x: simplex.u_map(sp, x), (0.0, 1.0), 2,
                                         grid=512)
         payload["verification"] = {
             "fixed_point_residual": resid,
-            "fd_derivative_gap": abs(fd - report.u_prime_at_star),
+            # relative above |U'| = 1, so the gap is scale-free at any rates
+            "fd_derivative_gap": abs(fd - u_prime) / max(1.0, abs(u_prime)),
             "period2_scan_count": len(scan),
         }
         human.append(

@@ -23,8 +23,7 @@ __all__ = [
     "orbit",
 ]
 
-_HISTORY = 1024          # ring buffer length for revisit detection
-_FULL_SCAN_STRIDE = 997  # prime stride so scans do not alias short cycles
+_SAVE_WINDOW_CAP = 1024  # longest gap between tortoise saves: the longest period
 _DENSE_SAMPLES = 1000    # store every iterate up to here, then thin
 _SAMPLE_GROWTH = 1.1
 
@@ -100,11 +99,17 @@ def orbit(
                   the limit;
       diverged_x  x exceeded divergence_threshold; the current y is reported
                   as y_limit_estimate;
-      periodic    the state revisited an earlier state (at most 1023 steps
-                  back) within tol, with period >= 2.  Period 2 is checked
-                  on every step; a period >= 3 only on a full-scan step
-                  (every 997 steps), so it can be reported up to 996 steps
-                  after the cycle starts;
+      periodic    the state came back within tol of the one saved state,
+                  the tortoise (Brent's cycle detection), k steps after it
+                  was saved: period k.  The tortoise is the start, then the
+                  state at the end of each save window; the windows are
+                  2, 4, 8, ... steps long, up to 1024 (saves at steps 2, 6,
+                  14, ..., 1022, then every 1024 steps).  So returns after
+                  1..1024 steps are seen, and a cycle of period p entered
+                  at step e is reported by step max(2*e + 2, e + 1024) + p
+                  at the latest, with one saved state whatever the budget.
+                  A 1-step return is a convergence candidate instead, so
+                  the period is >= 2;
       undecided   max_iter exhausted, or the orbit left the domain x > -1,
                   or coordinates stopped being finite, or a step returned
                   its state bit for bit away from every fixed point (the
@@ -129,15 +134,11 @@ def orbit(
         raise ValueError(f"map undefined for x <= -1, got x={x}")
 
     left = x < 0.0 or y < 0.0
-    hist_x = [0.0] * _HISTORY
-    hist_y = [0.0] * _HISTORY
-    hist_x[0] = x
-    hist_y[0] = y
-    mask = _HISTORY - 1
-
     samples: list[tuple[int, State]] = [(0, State(x, y))]
     next_sample = 1.0
-    next_scan = _FULL_SCAN_STRIDE
+    tx, ty = x, y  # the tortoise, saved at step `saved`
+    saved = 0
+    window = next_save = 2
 
     verdict = OrbitVerdict.UNDECIDED
     limit: Optional[State] = None
@@ -148,7 +149,6 @@ def orbit(
     # xn <= x_cap also means xn is finite when the threshold is inf
     x_cap = min(divergence_threshold, sys.float_info.max)
     ntol = -tol
-    px = py = math.nan  # the state two steps back; NaN matches nothing
     n = 0
 
     for n in range(1, max_iter + 1):
@@ -172,9 +172,6 @@ def orbit(
                 x, y = xn, yn
                 break
 
-        hist_x[n & mask] = xn
-        hist_y[n & mask] = yn
-
         if n >= next_sample:
             samples.append((n, State(xn, yn)))
             if n < _DENSE_SAMPLES:
@@ -195,27 +192,19 @@ def orbit(
                 # the float map fixes this state, so every later step would
                 # return it too: undecided now rather than at max_iter
                 break
-            if n == next_scan:
-                next_scan += _FULL_SCAN_STRIDE
-        elif ntol < xn - px < tol and ntol < yn - py < tol:
+        elif ntol < xn - tx < tol and ntol < yn - ty < tol:
             verdict = OrbitVerdict.PERIODIC
-            period = 2
+            period = n - saved
             x, y = xn, yn
             break
-        elif n == next_scan:
-            next_scan += _FULL_SCAN_STRIDE
-            for k in range(3, min(n, mask) + 1):  # k = 2 failed just above
-                idx = (n - k) & mask
-                if ntol < xn - hist_x[idx] < tol and ntol < yn - hist_y[idx] < tol:
-                    verdict = OrbitVerdict.PERIODIC
-                    period = k
-                    break
-            if period is not None:
-                x, y = xn, yn
-                break
 
-        px = x
-        py = y
+        if n == next_save:
+            # also after a candidate that failed, so the schedule is fixed
+            tx, ty = xn, yn
+            saved = n
+            window = min(2 * window, _SAVE_WINDOW_CAP)
+            next_save = n + window
+
         x = xn
         y = yn
 

@@ -333,6 +333,11 @@ def appended() -> list[tuple[str, list[str]]]:
         # U'(x*) where the former closed form was nan
         ("simplex multiplier at extreme rates",
          ["simplex", "--alpha", "1e-300", "--beta", "1e300"]),
+        # |U'(x*)| = 1e300: the derivative gap is relative, not about 1e289
+        ("simplex verify at extreme rates --json",
+         ["simplex", "--alpha", "1e-300", "--beta", "1e300", "--verify", "--json"]),
+        ("simplex verify at swapped extreme rates --json",
+         ["simplex", "--alpha", "1e300", "--beta", "1e-300", "--verify", "--json"]),
     ]
 
 

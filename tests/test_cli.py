@@ -500,6 +500,13 @@ class TestSimplexCommand:
         assert (code, err) == (0, "")
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    @pytest.mark.parametrize("alpha, beta", [("1e-300", "1e300"), ("1e300", "1e-300")])
+    def test_verify_derivative_gap_is_relative(self, capsys, alpha, beta):
+        # U'(x*) = -1e300 here, so an absolute gap would read about 1e289
+        d = run_json(capsys, ["simplex", "--alpha", alpha, "--beta", beta, "--verify"])
+        assert abs(d["u_prime_at_star"]) == 1e300
+        assert d["verification"]["fd_derivative_gap"] <= 1e-6
+
 
 class TestSweep:
     def test_stdout_grid(self, capsys):

@@ -9,15 +9,18 @@ from mospop.dynamics import ConditionViolation, OrbitVerdict, local_limit, orbit
 from mospop.fixed_points import State, find_fixed_points, gamma, step
 from mospop.oracles import sample_region
 from mospop.params import validate
+from mospop.stability import FixedPointType, classify_fixed_point
 
 EX1 = validate(1.5, 0.4, 0.5, 0.0, 0.0)
 EX3 = validate(6.0, 0.5, 0.4, 0.6, 0.0)
 
-# Whole-orbit results captured from the orbit loop before it was rewritten
-# for speed; the rewrite must reproduce them bit for bit.  Each entry holds
-# rates, z0 and keyword arguments, then verdict, iterations_used, period,
-# left_positive_quadrant, len(samples), the limit and the final sample
-# (n, x, y), floats as float.hex.  Together they reach every exit of the loop.
+# Whole-orbit results that orbit must reproduce bit for bit.  Each entry
+# holds rates, z0 and keyword arguments, then verdict, iterations_used,
+# period, left_positive_quadrant, len(samples), the limit and the final
+# sample (n, x, y), floats as float.hex.  Together they reach every exit of
+# the loop but the float stall (tested below): convergence after failed
+# candidates, each divergence, domain and quadrant exit, the budget, and a
+# cycle found against the start state and against a later tortoise save.
 GOLDEN_ORBITS = {
     "origin": (
         (1.5, 0.4, 0.5, 0.0, 0.0),
@@ -40,8 +43,9 @@ GOLDEN_ORBITS = {
          ("0x1.c7a5392f606c8p+0", "0x1.47d181a8d1a2cp-2"),
          (9, "0x1.c7a5392f606c8p+0", "0x1.47d181a8e4b46p-2")),
     ),
-    # steps fall below tol long before the origin is within 10*tol,
-    # on the scan steps 6979 and 7976 too
+    # steps fall below tol from step 6365, long before the origin is within
+    # 10*tol; the failed candidates include the tortoise save steps 7166
+    # and 8190, which still re-save
     "candidate_fails_on_scan_steps": (
         (0.005, 0.004, 0.008, 0.0, 0.0),
         (3.0, 3.0), {"tol": 1e-06},
@@ -86,6 +90,7 @@ GOLDEN_ORBITS = {
          ("0x0.0p+0", "0x0.0p+0"),
          (2, "-0x1.19799812db00ap-41", "0x1.a636641c4c216p-40")),
     ),
+    # found at step 2, against the start
     "period_2_lookback": (
         (2.0, 1.0, 1.0, 0.0, 0.0),
         (0.3, 0.7), {},
@@ -93,40 +98,47 @@ GOLDEN_ORBITS = {
          None,
          (2, "0x1.3333333333331p-2", "0x1.6666666666667p-1")),
     ),
-    "period_2_after_transient": (
+    # converges with an oscillating tail to (5.14157, 2.13451), which
+    # stability types attracting (eigenvalues -0.947 and 0.416); its
+    # two-step change falls below tol at step 196, 52 steps before its
+    # one-step change does
+    "oscillating_convergence_is_not_periodic": (
         (1.8229666590708402, 3.347623726066834, 0.7149836724323362,
          0.41901255275454363, 0.13107367650348334),
         (2.7300511689466695, 1.0613520718597766), {"tol": 1e-06},
-        ("periodic", 196, 2, False, 197,
-         None,
-         (196, "0x1.490f8f28f4dd0p+2", "0x1.1137b9da6adfap+1")),
+        ("converged", 248, None, False, 249,
+         ("0x1.490f6bcceb418p+2", "0x1.1137bca0dfd02p+1"),
+         (248, "0x1.490f6dd579aa3p+2", "0x1.1137bc7804a82p+1")),
     ),
+    # found 4 steps after the save at step 126
     "period_4_full_scan": (
         (3.5689349765964598, 36.032676901289264, 0.6702651031371167,
          0.001813489701501536, 0.008683269922283887),
         (0.4640761766499334, 2.9993656945920977), {"tol": 1e-06},
-        ("periodic", 997, 4, False, 998,
+        ("periodic", 130, 4, False, 131,
          None,
-         (997, "0x1.8a6c217979004p+7", "0x1.421864a200246p+2")),
+         (130, "0x1.277847f56d884p+5", "0x1.4d772cdc3968fp+2")),
     ),
-    # a long cycle that dips out of the quadrant
-    "period_309_full_scan": (
+    # a chaotic orbit that dips out of the quadrant: over 40,000 steps the
+    # lag-309 distance has median 2.47 and falls below tol on 10 steps
+    # only (the first at step 10960), the lag-618 distance never
+    "chaotic_near_return_stays_undecided": (
         (3.2954367571530585, 0.013308304816805516, 0.8803663151242577, 0.0, 0.0),
         (5.651011998976019, 2.706790382132781), {"tol": 0.001, "max_iter": 20000},
-        ("periodic", 10967, 309, True, 1027,
+        ("undecided", 20000, None, True, 1033,
          None,
-         (10967, "-0x1.8bb1f09f10400p-2", "0x1.3d88b9544b48ep-1")),
+         (20000, "0x1.4934ed6375d66p+2", "-0x1.638a5cb836ec3p+2")),
     ),
     # a 4-cycle on the line x + y = const of a psi map with one step shorter
     # than tol, to a point with x < 0 where no curve point counts as near:
-    # scan step 997 lands there and fails the convergence test, and the
-    # next scan, at 1994, finds the cycle
+    # the candidates at steps 1 and 5 fail the convergence test and skip
+    # the tortoise, and step 6 returns to the state saved at step 2
     "period_4_after_candidate_fails_on_scan_step": (
         (5.464895525258358, 0.6038363062545913, 0.6038363062545913, 0.0, 0.0),
         (2.7662819965799823, 0.5929544210696154), {"tol": 6.628070314745864},
-        ("periodic", 1994, 4, True, 1009,
+        ("periodic", 6, 4, True, 7,
          None,
-         (1994, "0x1.6d8e17477f1fep+5", "-0x1.52ae5fefb46d4p+5")),
+         (6, "0x1.6d8e17477f1fep+5", "-0x1.52ae5fefb46d4p+5")),
     ),
     "domain_exit": (
         (1.0, 2.0, 0.5, 0.2, 0.8),
@@ -165,6 +177,21 @@ GOLDEN_ORBITS = {
          (3, "-0x1.7a1b70755a9dap+2", "0x1.69c29e1fc7b04p+3")),
     ),
 }
+
+# Orbits that converge with an oscillating tail, whose two-step change falls
+# below tol (at steps 44, 49 and 71) before their one-step change does.
+# None as z0 starts at 1.001 times the positive fixed point.
+OSCILLATING_CONVERGENCE = [
+    ((0.4622306960389202, 0.40539015862296846, 1.379671832364487,
+      0.381346565586563, 0.0),
+     (2.3412476427299618, 4.18758267367086)),
+    ((4.125438523010321, 7.329224307114524, 0.661743336920234,
+      0.8851003106243219, 0.010987817695780423),
+     (4.026339987047999, 3.6567805050782214)),
+    ((2.4552243346400258, 1.9155650976458398, 0.9480862262910698,
+      0.8772565078978851, 0.0),
+     None),
+]
 
 
 class TestStep:
@@ -238,6 +265,44 @@ class TestOrbit:
         assert res.verdict is OrbitVerdict.PERIODIC
         assert res.period == 2
         assert res.iterations_used == 2
+
+    @pytest.mark.parametrize("rates, z0", OSCILLATING_CONVERGENCE,
+                             ids=["to_origin", "to_positive_point", "from_near_it"])
+    def test_oscillating_convergence_is_not_periodic(self, rates, z0):
+        p = validate(*rates)
+        if z0 is None:
+            z = find_fixed_points(p).points[-1].location
+            assert z.x > 0.0
+            z0 = (1.001 * z.x, 1.001 * z.y)
+        res = orbit(p, z0)
+        assert res.verdict is OrbitVerdict.CONVERGED
+        assert classify_fixed_point(p, res.limit).type is FixedPointType.ATTRACTING
+
+    def test_cycles_are_reported_within_the_save_schedule(self):
+        # on x + y = 1 these rates give U(x) = (1 - x)/(1 + x), an involution
+        corner = validate(2.0, 1.0, 1.0, 0.0, 0.0)
+        rng = np.random.default_rng(59)
+        cases = [(corner, (x, 1.0 - x), {}, 2) for x in rng.uniform(0.0, 1.0, 50)]
+        for name in ("period_4_full_scan", "period_4_after_candidate_fails_on_scan_step"):
+            rates, z0, kwargs, _ = GOLDEN_ORBITS[name]
+            cases.append((validate(*rates), z0, kwargs, 4))
+        for p, z0, kwargs, period in cases:
+            tol = kwargs.get("tol", 1e-9)
+            res = orbit(p, z0, **kwargs)
+            assert (res.verdict, res.period) == (OrbitVerdict.PERIODIC, period)
+            zs = [State(*z0)]
+            for _ in range(res.iterations_used + period):
+                zs.append(step(p, zs[-1]))
+            entered = next(n for n in range(len(zs) - period)
+                           if abs(zs[n + period].x - zs[n].x) < tol
+                           and abs(zs[n + period].y - zs[n].y) < tol)
+            # the latest report that orbit's docstring states
+            assert res.iterations_used <= max(2 * entered + 2, entered + 1024) + period
+            final = res.samples[-1][1]
+            z = final
+            for _ in range(period):
+                z = step(p, z)
+            assert abs(z.x - final.x) < tol and abs(z.y - final.y) < tol
 
     def test_budget_exhaustion_reports_undecided(self):
         res = orbit(EX1, (5.0, 4.0), max_iter=5)
