@@ -104,12 +104,17 @@ def orbit(
                   was saved: period k.  The tortoise is the start, then the
                   state at the end of each save window; the windows are
                   2, 4, 8, ... steps long, up to 1024 (saves at steps 2, 6,
-                  14, ..., 1022, then every 1024 steps).  So returns after
-                  1..1024 steps are seen, and a cycle of period p entered
-                  at step e is reported by step max(2*e + 2, e + 1024) + p
-                  at the latest, with one saved state whatever the budget.
-                  A 1-step return is a convergence candidate instead, so
-                  the period is >= 2;
+                  14, ..., 1022, then every 1024 steps).  A save due on a
+                  convergence candidate that failed moves to the next step
+                  that is not one, since a return to that state would be a
+                  candidate too and skip the tortoise test.  A 1-step
+                  return is a candidate, so the period is >= 2.  So returns
+                  after 2..1024 steps are seen, with one saved state
+                  whatever the budget: if every state from step e on
+                  returns within tol after p steps, and some step of that
+                  cycle moves tol or more, period p is reported by step
+                  min(2*m, m + 1023) + 2*p - 1 at the latest, where
+                  m = max(e, p - 2);
       undecided   max_iter exhausted, or the orbit left the domain x > -1,
                   or coordinates stopped being finite, or a step returned
                   its state bit for bit away from every fixed point (the
@@ -138,7 +143,7 @@ def orbit(
     next_sample = 1.0
     tx, ty = x, y  # the tortoise, saved at step `saved`
     saved = 0
-    window = next_save = 2
+    next_save = 2
 
     verdict = OrbitVerdict.UNDECIDED
     limit: Optional[State] = None
@@ -192,6 +197,10 @@ def orbit(
                 # the float map fixes this state, so every later step would
                 # return it too: undecided now rather than at max_iter
                 break
+            if n == next_save:
+                # a return to this state would be a candidate too and never
+                # reach the tortoise test below: save a later state instead
+                next_save += 1
         elif ntol < xn - tx < tol and ntol < yn - ty < tol:
             verdict = OrbitVerdict.PERIODIC
             period = n - saved
@@ -199,11 +208,9 @@ def orbit(
             break
 
         if n == next_save:
-            # also after a candidate that failed, so the schedule is fixed
             tx, ty = xn, yn
             saved = n
-            window = min(2 * window, _SAVE_WINDOW_CAP)
-            next_save = n + window
+            next_save = min(2 * n + 2, n + _SAVE_WINDOW_CAP)
 
         x = xn
         y = yn

@@ -44,8 +44,8 @@ GOLDEN_ORBITS = {
          (9, "0x1.c7a5392f606c8p+0", "0x1.47d181a8e4b46p-2")),
     ),
     # steps fall below tol from step 6365, long before the origin is within
-    # 10*tol; the failed candidates include the tortoise save steps 7166
-    # and 8190, which still re-save
+    # 10*tol; the save due at step 7166 falls on a failed candidate and moves
+    # on with every later step, as each is one too
     "candidate_fails_on_scan_steps": (
         (0.005, 0.004, 0.008, 0.0, 0.0),
         (3.0, 3.0), {"tol": 1e-06},
@@ -286,6 +286,19 @@ class TestOrbit:
         for name in ("period_4_full_scan", "period_4_after_candidate_fails_on_scan_step"):
             rates, z0, kwargs, _ = GOLDEN_ORBITS[name]
             cases.append((validate(*rates), z0, kwargs, 4))
+        # started three steps on, the last 4-cycle has its failed candidates
+        # on steps 2, 6, 10, ..., where every save of the schedule 2, 6,
+        # 14, ... would fall if none were moved
+        p = validate(*rates)
+        z = State(*z0)
+        for _ in range(3):
+            z = step(p, z)
+        cases.append((p, z, kwargs, 4))
+        # with beta = mu each line x + y = c is invariant, and the map on it
+        # has cycles of odd and of long period
+        for alpha, mu, s, period in ((5.436, 0.296, 2.906, 3), (3.747, 0.7, 0.894, 7),
+                                     (2.39, 0.374, 0.099, 32)):
+            cases.append((validate(alpha, mu, mu, 0.0, 0.0), (s, s), {}, period))
         for p, z0, kwargs, period in cases:
             tol = kwargs.get("tol", 1e-9)
             res = orbit(p, z0, **kwargs)
@@ -293,11 +306,13 @@ class TestOrbit:
             zs = [State(*z0)]
             for _ in range(res.iterations_used + period):
                 zs.append(step(p, zs[-1]))
-            entered = next(n for n in range(len(zs) - period)
-                           if abs(zs[n + period].x - zs[n].x) < tol
-                           and abs(zs[n + period].y - zs[n].y) < tol)
+            # every state from step `entered` on returns within tol
+            entered = 1 + max([-1] + [n for n in range(len(zs) - period)
+                                      if not (abs(zs[n + period].x - zs[n].x) < tol
+                                              and abs(zs[n + period].y - zs[n].y) < tol)])
             # the latest report that orbit's docstring states
-            assert res.iterations_used <= max(2 * entered + 2, entered + 1024) + period
+            m = max(entered, period - 2)
+            assert res.iterations_used <= min(2 * m, m + 1023) + 2 * period - 1
             final = res.samples[-1][1]
             z = final
             for _ in range(period):
