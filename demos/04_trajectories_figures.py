@@ -17,8 +17,8 @@ def save(name, res):
     csv_path = os.path.join(OUT, name + ".csv")
     with open(csv_path, "w", newline="") as fh:
         fh.write("iter,x,y\n")
-        for n, state in res.samples:
-            fh.write(f"{n},{state.x:.12g},{state.y:.12g}\n")
+        for n, x, y in zip(res.samples.n, res.samples.x, res.samples.y):
+            fh.write(f"{n},{x:.12g},{y:.12g}\n")
     svg_path = os.path.join(OUT, name + ".svg")
     with open(svg_path, "w") as fh:
         fh.write(render_trajectory_svg(res.samples))

@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 # the public names of each submodule that the package re-exports
 _EXPORTS = {
     "dynamics": ("ConditionViolation", "OrbitResult", "OrbitVerdict",
-                 "local_limit", "orbit"),
+                 "Samples", "local_limit", "orbit"),
     "fixed_points": ("ClosedFormOverflow", "DegenerateAllZero", "FixedPointKind",
                      "FixedPointReport", "FixedPointSet", "FormulaTag", "State",
                      "discriminant", "find_fixed_points", "gamma", "quad_roots",

@@ -311,12 +311,11 @@ def cmd_stability(args) -> int:
 
 
 def render_trajectory_svg(samples) -> str:
-    """Minimal two-polyline SVG of the sampled trajectory, with axis ticks."""
+    """Minimal two-polyline SVG of an orbit's Samples, with axis ticks."""
     width, height = 720, 460
     ml, mr, mt, mb = 64, 18, 42, 50
-    ns = [float(n) for n, _ in samples]
-    xs = [s.x for _, s in samples]
-    ys = [s.y for _, s in samples]
+    ns = [float(n) for n in samples.n]
+    xs, ys = samples.x, samples.y
     n_hi = max(ns) if max(ns) > 0 else 1.0
     v_lo = min(0.0, min(xs), min(ys))
     v_hi = max(max(xs), max(ys))
@@ -385,17 +384,19 @@ def cmd_simulate(args) -> int:
         _usage_error(f"--divergence-threshold must be > 0, got {args.divergence_threshold}")
     result = dynamics.orbit(p, (args.x0, args.y0), max_iter=args.iters, tol=tol,
                             divergence_threshold=args.divergence_threshold)
-    final_n, final_s = result.samples[-1]
+    samples = result.samples
+    final_x, final_y = samples.x[-1], samples.y[-1]
     payload = {
         "verdict": result.verdict.value,
         "iterations_used": result.iterations_used,
         "left_positive_quadrant": result.left_positive_quadrant,
-        "final": {"iteration": final_n, "x": final_s.x, "y": final_s.y},
-        "samples": [{"iteration": n, "x": s.x, "y": s.y} for n, s in result.samples],
+        "final": {"iteration": samples.n[-1], "x": final_x, "y": final_y},
+        "samples": [{"iteration": n, "x": x, "y": y}
+                    for n, x, y in zip(samples.n, samples.x, samples.y)],
     }
     human = [
         f"verdict: {result.verdict.value} after {result.iterations_used} iterations",
-        f"final state: ({fmt(final_s.x)}, {fmt(final_s.y)})",
+        f"final state: ({fmt(final_x)}, {fmt(final_y)})",
     ]
     if result.limit is not None:
         payload["limit"] = {"x": result.limit.x, "y": result.limit.y}
@@ -411,10 +412,10 @@ def cmd_simulate(args) -> int:
 
     if args.csv:
         _write(args.csv, "iter,x,y\n" + "".join(
-            f"{n},{fmt(s.x)},{fmt(s.y)}\n" for n, s in result.samples))
+            f"{n},{fmt(x)},{fmt(y)}\n" for n, x, y in zip(samples.n, samples.x, samples.y)))
         human.append(f"wrote CSV: {args.csv}")
     if args.svg:
-        _write(args.svg, render_trajectory_svg(result.samples))
+        _write(args.svg, render_trajectory_svg(samples))
         human.append(f"wrote SVG: {args.svg}")
     _emit(args, payload, human)
     return 0

@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
-from .fixed_points import FixedPointKind, State, find_fixed_points, gamma, phi1_point
+from .fixed_points import FixedPointKind, State, fixed_point_locations, gamma, phi1_point
 from .params import Params, birth_threshold, preserves_quadrant
 
 __all__ = [
     "ConditionViolation",
     "OrbitResult",
     "OrbitVerdict",
+    "Samples",
     "local_limit",
     "orbit",
 ]
@@ -39,18 +41,69 @@ class OrbitVerdict(Enum):
     UNDECIDED = "undecided"
 
 
+class Samples(Sequence):
+    """Sampled iterates of an orbit, stored as three immutable columns.
+
+    n holds the step numbers, x and y the states' coordinates, all tuples of
+    one length.  Item k is the pair (n[k], State(x[k], y[k])), built when it
+    is read; a slice is a Samples.  A Samples equals another column by
+    column, and equals the tuple of its pairs, whose hash it shares.
+    """
+
+    __slots__ = ("n", "x", "y")
+
+    def __init__(self, n: Sequence[int], x: Sequence[float], y: Sequence[float]):
+        n, x, y = tuple(n), tuple(x), tuple(y)
+        if not len(n) == len(x) == len(y):
+            raise ValueError("sample columns must have one length")
+        for name, column in (("n", n), ("x", x), ("y", y)):
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Samples is immutable")
+
+    def __reduce__(self):
+        return Samples, (self.n, self.x, self.y)
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Samples(self.n[k], self.x[k], self.y[k])
+        return self.n[k], State(self.x[k], self.y[k])
+
+    def __iter__(self):
+        return zip(self.n, map(State, self.x, self.y))
+
+    def __eq__(self, other):
+        if isinstance(other, Samples):
+            return self.n == other.n and self.x == other.x and self.y == other.y
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Samples(n={self.n!r}, x={self.x!r}, y={self.y!r})"
+
+
 class OrbitResult(NamedTuple):
     """Outcome of iterating the map from one initial state.
 
-    samples holds exact iterates (n, state): every step up to 1000, then a
-    geometric thinning, and always the final state reached.  The quadrant
-    flag records whether any iterate had a negative coordinate; such runs
-    are still iterated but carry no biological meaning.
+    samples holds exact iterates: every step up to 1000, then a geometric
+    thinning, and always the final state reached.  It is a Samples, the
+    columns samples.n, samples.x and samples.y; each (n, state) pair is
+    built only when it is read.  The quadrant flag records whether any
+    iterate had a negative coordinate; such runs are still iterated but
+    carry no biological meaning.
     """
 
     verdict: OrbitVerdict
     iterations_used: int
-    samples: tuple[tuple[int, State], ...]
+    samples: Samples
     limit: Optional[State] = None
     y_limit_estimate: Optional[float] = None
     period: Optional[int] = None
@@ -60,28 +113,31 @@ class OrbitResult(NamedTuple):
 def _fixed_point_targets(p: Params):
     """Known fixed points to test convergence against.
 
-    Returns (points, curve) where curve is the continuum parameterization
-    y = gamma(x) when the fixed points form a curve, else None.
+    Returns (points, curve) where points are the finite (x, y) of
+    fixed_point_locations, and curve is the continuum parameterization
+    y = gamma(x) when the fixed points form a curve, else None.  A closed
+    form that overflows to a non-finite coordinate gives no target.
     """
-    fps = find_fixed_points(p)
-    if fps.kind is FixedPointKind.CONTINUUM:
-        return [], (lambda x: gamma(p, x))
-    return [report.location for report in fps.points], None
+    kind, locations = fixed_point_locations(p)
+    if kind is FixedPointKind.CONTINUUM:
+        return (), (lambda x: gamma(p, x))
+    return tuple((px, py) for px, py, _ in locations
+                 if math.isfinite(px) and math.isfinite(py)), None
 
 
-def _distance_to_target(x: float, y: float, points, curve) -> tuple[float, State]:
+def _distance_to_target(x: float, y: float, points, curve) -> tuple[float, float, float]:
+    """The max-norm distance to the nearest target, and that target's x, y."""
     if curve is not None:
         # every (x, gamma(x)) with x > -1 is fixed, and orbit stops at x <= -1
         gy = curve(x)
-        return abs(y - gy), State(x, gy)
+        return abs(y - gy), x, gy
     best = math.inf
-    best_pt = State(0.0, 0.0)
-    for pt in points:
-        d = max(abs(x - pt[0]), abs(y - pt[1]))
+    bx = by = 0.0
+    for px, py in points:
+        d = max(abs(x - px), abs(y - py))
         if d < best:
-            best = d
-            best_pt = State(pt[0], pt[1])
-    return best, best_pt
+            best, bx, by = d, px, py
+    return best, bx, by
 
 
 def orbit(
@@ -121,8 +177,10 @@ def orbit(
                   float map stalls there; iteration stops at that step).
 
     The fixed points are looked up only at the first step that moves less
-    than tol, so orbits that never get there never compute them; that is
-    also where a phi1 point beyond the double range raises ClosedFormOverflow.
+    than tol, so orbits that never get there never compute them, and no
+    residual is formed for them.  That is also where a phi1 point beyond
+    the double range raises ClosedFormOverflow; a phi2 point whose closed
+    form overflows to a non-finite coordinate is skipped as a target.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -139,7 +197,7 @@ def orbit(
         raise ValueError(f"map undefined for x <= -1, got x={x}")
 
     left = x < 0.0 or y < 0.0
-    samples: list[tuple[int, State]] = [(0, State(x, y))]
+    ns, xs, ys = [0], [x], [y]  # the sample columns
     next_sample = 1.0
     tx, ty = x, y  # the tortoise, saved at step `saved`
     saved = 0
@@ -167,7 +225,7 @@ def orbit(
             if not (math.isfinite(xn) and math.isfinite(yn)) or xn <= -1.0:
                 if xn < 0.0 or yn < 0.0:
                     left = True
-                samples.append((n, State(xn, yn)))
+                x, y = xn, yn
                 break
             if xn < 0.0 or yn < 0.0:
                 left = True
@@ -178,7 +236,9 @@ def orbit(
                 break
 
         if n >= next_sample:
-            samples.append((n, State(xn, yn)))
+            ns.append(n)
+            xs.append(xn)
+            ys.append(yn)
             if n < _DENSE_SAMPLES:
                 next_sample = n + 1.0
             else:
@@ -187,10 +247,10 @@ def orbit(
         if ntol < xn - x < tol and ntol < yn - y < tol:
             if targets is None:
                 targets = _fixed_point_targets(p)
-            dist, target = _distance_to_target(xn, yn, *targets)
+            dist, lx, ly = _distance_to_target(xn, yn, *targets)
             if dist <= 10.0 * tol:
                 verdict = OrbitVerdict.CONVERGED
-                limit = target
+                limit = State(lx, ly)
                 x, y = xn, yn
                 break
             if xn == x and yn == y:
@@ -215,13 +275,15 @@ def orbit(
         x = xn
         y = yn
 
-    if samples[-1][0] != n:
-        samples.append((n, State(x, y)))
+    if ns[-1] != n:
+        ns.append(n)
+        xs.append(x)
+        ys.append(y)
 
     return OrbitResult(
         verdict=verdict,
         iterations_used=n,
-        samples=tuple(samples),
+        samples=Samples(ns, xs, ys),
         limit=limit,
         y_limit_estimate=y_est,
         period=period,

@@ -338,6 +338,13 @@ def appended() -> list[tuple[str, list[str]]]:
          ["simplex", "--alpha", "1e-300", "--beta", "1e300", "--verify", "--json"]),
         ("simplex verify at swapped extreme rates --json",
          ["simplex", "--alpha", "1e300", "--beta", "1e-300", "--verify", "--json"]),
+        # the phi2 closed form overflows to (inf, nan): no target, so the
+        # orbit stops at the origin
+        ("simulate phi2 point beyond the double range",
+         ["simulate", "--alpha", "5.789738304514491e-128", "--beta",
+          "1.2732347862781518e+288", "--mu", "6.90982348082502e-230", "--d0",
+          "1.9255630303276417e+154", "--d1", "2.3870432366756736e-07",
+          "--x0", "0", "--y0", "0"]),
     ]
 
 

@@ -1,12 +1,14 @@
 """One-step map, orbit iteration with limit detection, and the local limit."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from mospop.dynamics import ConditionViolation, OrbitVerdict, local_limit, orbit
-from mospop.fixed_points import State, find_fixed_points, gamma, step
+from mospop import dynamics
+from mospop.dynamics import ConditionViolation, OrbitVerdict, Samples, local_limit, orbit
+from mospop.fixed_points import State, find_fixed_points, fixed_point_locations, gamma, step
 from mospop.oracles import sample_region
 from mospop.params import validate
 from mospop.stability import FixedPointType, classify_fixed_point
@@ -335,6 +337,60 @@ class TestOrbit:
         for n, state in res.samples:
             assert state == expect[n]  # bitwise, no tolerance
 
+    def test_samples_are_columns_read_as_pairs(self):
+        res = orbit(EX1, (5.0, 4.0), max_iter=5)
+        pairs = [(0, State(5.0, 4.0))]
+        for n in range(1, 6):
+            pairs.append((n, step(EX1, pairs[-1][1])))
+        pairs = tuple(pairs)
+        s = res.samples
+        assert isinstance(s, Samples)
+        assert (s.n, s.x, s.y) == tuple(zip(*[(n, z.x, z.y) for n, z in pairs]))
+        assert len(s) == 6
+        assert s[0] == pairs[0] and s[2] == pairs[2] and s[-1] == pairs[-1]
+        with pytest.raises(IndexError):
+            s[6]
+        assert isinstance(s[1:4], Samples)
+        assert s[1:4] == pairs[1:4] and s[::-2] == pairs[::-2]
+        assert tuple(s) == pairs and list(iter(s)) == list(pairs)
+        assert all(type(z) is State for _, z in s)
+        assert type(s[-1][1]) is State
+        # equal to the tuple of pairs, either way round, with its hash
+        assert s == pairs and pairs == s and not s != pairs
+        assert s != pairs[:-1] and s != list(pairs)
+        assert hash(s) == hash(pairs)
+        # equal to another Samples column by column
+        twin = Samples(list(s.n), list(s.x), list(s.y))
+        assert twin == s and hash(twin) == hash(s)
+        assert s != Samples(s.n, s.x, s.x)
+        assert res == (res.verdict, 5, pairs, None, None, None, False)
+        assert pickle.loads(pickle.dumps(res)) == res
+        with pytest.raises(AttributeError):
+            s.n = ()
+        with pytest.raises(ValueError):
+            Samples((0, 1), (0.0,), (0.0,))
+
+    def test_an_orbit_builds_no_state_per_step(self, monkeypatch):
+        built = 0
+
+        def counted(x, y):
+            nonlocal built
+            built += 1
+            return State(x, y)
+
+        monkeypatch.setattr(dynamics, "State", counted)
+        # 669 steps, every one of them sampled, to a divergence verdict
+        res = orbit(validate(2.0, 375000.5, 0.5, 0.0, 0.0), (1.0, 1.0))
+        assert (res.verdict, len(res.samples)) == (OrbitVerdict.DIVERGED_X, 670)
+        assert built == 0
+        # 265 steps to a converged verdict: only the limit is built
+        res = orbit(EX1, (5.0, 4.0))
+        assert (res.verdict, len(res.samples)) == (OrbitVerdict.CONVERGED, 266)
+        assert built == 1
+        # reading a sample builds its pair
+        assert res.samples[-1][1] == (res.samples.x[-1], res.samples.y[-1])
+        assert built == 2
+
     def test_sample_indices_start_dense(self):
         res = orbit(EX1, (5.0, 4.0), max_iter=50)
         assert [n for n, _ in res.samples[:6]] == [0, 1, 2, 3, 4, 5]
@@ -408,6 +464,19 @@ class TestOrbit:
         assert res.verdict is OrbitVerdict.UNDECIDED
         assert res.iterations_used == 1
         assert res.left_positive_quadrant
+
+    def test_a_phi2_point_beyond_the_double_range_is_no_target(self):
+        # the phi2 closed form overflows to (inf, nan) at these rates; the
+        # orbit skips that point rather than failing on it, and stops at
+        # the origin, which the map fixes
+        p = validate(5.789738304514491e-128, 1.2732347862781518e+288,
+                     6.90982348082502e-230, 1.9255630303276417e+154,
+                     2.3870432366756736e-07)
+        x2, y2, _ = fixed_point_locations(p)[1][1]
+        assert math.isinf(x2) and math.isnan(y2)
+        res = orbit(p, (0.0, 0.0))
+        assert res.verdict is OrbitVerdict.CONVERGED
+        assert (res.iterations_used, res.limit) == (1, (0.0, 0.0))
 
     def test_matched_rates_orbit_lands_on_the_curve(self):
         p = validate(0.5, 1.0, 1.0, 0.0, 0.0)
