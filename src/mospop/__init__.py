@@ -24,26 +24,25 @@ __version__ = "0.1.0"
 
 # the public names of each submodule that the package re-exports
 _EXPORTS = {
-    "dynamics": ("ConditionViolation", "OrbitResult", "OrbitVerdict",
-                 "Samples", "local_limit", "orbit"),
+    "dynamics": ("OrbitResult", "OrbitVerdict", "Samples", "local_limit", "orbit"),
     "fixed_points": ("ClosedFormOverflow", "DegenerateAllZero", "FixedPointKind",
                      "FixedPointReport", "FixedPointSet", "FormulaTag", "State",
                      "discriminant", "find_fixed_points", "gamma", "quad_roots",
                      "step"),
     "oracles": ("fd_derivative", "fd_jacobian", "grid_period_scan",
                 "sample_invariance_pairs", "sample_region"),
-    "params": ("DomainError", "Params", "RegionLabel", "SimplexClass",
-               "basic_offspring_number", "birth_threshold", "classify",
-               "in_invariance_region", "preserves_quadrant", "primary_region",
-               "shape_class", "validate"),
+    "params": ("ConditionViolation", "DomainError", "Params", "RegionLabel",
+               "SimplexClass", "basic_offspring_number", "birth_threshold",
+               "classify", "in_invariance_region", "preserves_quadrant",
+               "primary_region", "shape_class", "validate"),
     "simplex": ("OutsideInvariantRegion", "Period2Kind", "Period2Set", "ShapeKind",
                 "SimplexAnalysis", "SimplexParams", "UOrbitKind",
                 "UOrbitNotConverged", "UPointType", "analyze", "fixed_point_u",
                 "period2_set", "simplex_invariant", "u_derivative", "u_map",
-                "u_orbit_limit", "u_stability", "x_minimum"),
-    "stability": ("DeclaredType", "FixedPointType", "NotAFixedPoint",
-                  "OutsideDeclaredRegion", "StabilityReport", "classify_fixed_point",
-                  "declared_type_table", "eigenvalues", "jacobian"),
+                "u_orbit_limit", "x_minimum"),
+    "stability": ("DeclaredType", "FixedPointType", "NotAFixedPoint", "StabilityReport",
+                  "classify_fixed_point", "declared_type_table", "eigenvalues",
+                  "jacobian"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -9,9 +9,9 @@ use '.' decimals, ',' separators, a header row and LF line endings, and
 repeated invocations with identical flags produce byte-identical output.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid parameters or
-usage, 3 I/O failure.  The environment variable MOSPOP_TOL overrides the
-default convergence tolerance of `simulate` (flag --tol still wins); every
-tolerance must be a positive finite float.
+usage, 3 I/O failure.  The flag --tol of `stability` and `simulate` is the
+only tolerance source (default 1e-9); every tolerance must be a positive
+finite float.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -30,10 +29,10 @@ from typing import Optional, Sequence
 # that call them, so a start loads only what its subcommand runs.
 from . import oracles, params
 
-TOL_ENV = "MOSPOP_TOL"
 NUMBER_FORMAT = ".12g"  # every number printed: 12 significant digits
-# the most values one invocation builds: sweep cells, continuum samples or
-# U iterates; a larger request is a usage error, raised before any is built
+# the most values one invocation builds: sweep cells, continuum samples, U
+# iterates or verify draws; a larger request is a usage error, raised before
+# any is built
 MAX_VALUES = 10**7
 SWEEP_QUANTITIES = (
     "region",
@@ -70,20 +69,13 @@ def _usage_error(msg: str) -> None:
     raise SystemExit(2)
 
 
-def _tol(args, env: bool = False) -> float:
-    """--tol, else (with env) MOSPOP_TOL, else 1e-9; positive and finite."""
-    raw, source = args.tol, "--tol"
-    if raw is None and env:
-        raw, source = os.environ.get(TOL_ENV), TOL_ENV
-    if raw is None:
+def _tol(args) -> float:
+    """--tol, else 1e-9; positive and finite."""
+    if args.tol is None:
         return 1e-9
-    try:
-        v = float(raw)
-    except ValueError:
-        _usage_error(f"{source} must be a float, got {raw!r}")
-    if not (v > 0 and math.isfinite(v)):
-        _usage_error(f"{source} must be a positive float, got {raw!r}")
-    return v
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        _usage_error(f"--tol must be a positive float, got {args.tol!r}")
+    return args.tol
 
 
 def _write(path: str, text: str) -> None:
@@ -379,7 +371,7 @@ def cmd_simulate(args) -> int:
     p = _params_from_args(args)
     if args.iters < 1:
         _usage_error(f"--iters must be at least 1, got {args.iters}")
-    tol = _tol(args, env=True)
+    tol = _tol(args)
     if not args.divergence_threshold > 0:
         _usage_error(f"--divergence-threshold must be > 0, got {args.divergence_threshold}")
     result = dynamics.orbit(p, (args.x0, args.y0), max_iter=args.iters, tol=tol,
@@ -648,21 +640,15 @@ def cmd_sweep(args) -> int:
         for i, head in enumerate(map(fmt, vals1))])
     if args.output == "-":
         sys.stdout.write(text)
-    else:
-        _write(args.output, text)
-        if args.json:
-            import json
-
-            # the cells print as strings, as in the CSV
-            grid_points = itertools.product(_json_ready(vals1), _json_ready(vals2))
-            rows = [[v1, v2, c if strings else fmt(c)]
-                    for (v1, v2), c in zip(grid_points, cells)]
-            print(json.dumps(
-                {"axis1": name1, "axis2": name2, "quantity": args.quantity,
-                 "cells": len(cells), "output": args.output, "rows": rows},
-                indent=2, sort_keys=True))
-        else:
-            print(f"wrote {len(cells)} cells: {args.output}")
+        return 0
+    _write(args.output, text)
+    payload = {"axis1": name1, "axis2": name2, "quantity": args.quantity,
+               "cells": len(cells), "output": args.output}
+    if args.json:
+        # the cells print as strings, as in the CSV
+        payload["rows"] = [[v1, v2, c if strings else fmt(c)] for (v1, v2), c
+                           in zip(itertools.product(vals1, vals2), cells)]
+    _emit(args, payload, [f"wrote {len(cells)} cells: {args.output}"])
     return 0
 
 
@@ -674,6 +660,8 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     if args.draws < 1:
         _usage_error(f"--draws must be at least 1, got {args.draws}")
+    if args.draws > MAX_VALUES:
+        _usage_error(f"--draws must be at most {MAX_VALUES}, got {args.draws}")
     if args.seed < 0:
         _usage_error(f"--seed must be >= 0, got {args.seed}")
     import numpy as np
@@ -790,8 +778,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         prog="mospop",
         description="Analysis toolkit for a discrete-time two-stage "
         "mosquito population map.",
-        epilog=f"Environment: {TOL_ENV} overrides the default simulate "
-        "tolerance (1e-9).",
     )
     subs = parser.add_subparsers(dest="command", required=True)
     # an unreached subparser keeps its name and help, so help reads the same
@@ -836,7 +822,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     s.add_argument("--iters", type=int, default=1_000_000,
                    help="iteration budget (default 1e6)")
     s.add_argument("--tol", type=float, default=None,
-                   help=f"convergence tolerance (default 1e-9, or {TOL_ENV})")
+                   help="convergence tolerance (default 1e-9)")
     s.add_argument("--divergence-threshold", type=float, default=1e9,
                    help="x beyond this is a divergence verdict (default 1e9)")
     s.add_argument("--csv", type=str, default=None,

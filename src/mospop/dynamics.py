@@ -14,10 +14,9 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .fixed_points import FixedPointKind, State, fixed_point_locations, gamma, phi1_point
-from .params import Params, birth_threshold, preserves_quadrant
+from .params import ConditionViolation, Params, birth_threshold, preserves_quadrant
 
 __all__ = [
-    "ConditionViolation",
     "OrbitResult",
     "OrbitVerdict",
     "Samples",
@@ -28,10 +27,6 @@ __all__ = [
 _SAVE_WINDOW_CAP = 1024  # longest gap between tortoise saves: the longest period
 _DENSE_SAMPLES = 1000    # store every iterate up to here, then thin
 _SAMPLE_GROWTH = 1.1
-
-
-class ConditionViolation(ValueError):
-    """Raised when an operation requires the quadrant-preserving regime."""
 
 
 class OrbitVerdict(Enum):
@@ -294,8 +289,8 @@ def orbit(
 def local_limit(p: Params) -> State:
     """Predicted local limit of orbits in the quadrant-preserving regime.
 
-    Requires the quadrant-preservation inequalities (d1 = 0,
-    alpha <= 1 - d0, mu <= 1, d0 < 1); otherwise ConditionViolation.
+    Requires the quadrant-preservation inequalities of preserves_quadrant;
+    otherwise params.ConditionViolation.
 
     Returns (0, 0) when beta <= mu*(1 + d0/alpha).  Above that threshold
     with d0 > 0 the limit is the positive fixed point
@@ -310,10 +305,7 @@ def local_limit(p: Params) -> State:
     neighborhood of the limit, not for the whole quadrant.
     """
     if not preserves_quadrant(p):
-        raise ConditionViolation(
-            "local limit prediction requires d1 = 0, alpha <= 1 - d0, "
-            "mu <= 1 and d0 < 1"
-        )
+        raise ConditionViolation("local limit prediction")
     if p.beta <= birth_threshold(p):
         return State(0.0, 0.0)
     if p.d0 == 0.0:

@@ -93,8 +93,9 @@ def grid_period_scan(
     every sign change of F down to tol, and drops any candidate whose least
     period is a proper divisor of `period` (checked with f^d(x) ~ x).
 
-    The map must be defined on the whole domain and anywhere iterates of
-    grid points land.
+    f must accept a numpy array and act elementwise, as simplex.u_map
+    does; it is also called on single floats.  The map must be defined on
+    the whole domain and anywhere iterates of grid points land.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -105,13 +106,9 @@ def grid_period_scan(
     import numpy as np
 
     xs = np.linspace(lo, hi, grid)
-    try:
-        # a map that overflows on the grid warns per element; the values stay
-        with np.errstate(all="ignore"):
-            big_f = np.asarray(_iterate(f, xs.copy(), period), dtype=float) - xs
-    except Exception:
-        # map not vectorized; fall back to a scalar sweep
-        big_f = np.array([_iterate(f, float(x), period) - float(x) for x in xs])
+    # a map that overflows on the grid warns per element; the values stay
+    with np.errstate(all="ignore"):
+        big_f = np.asarray(_iterate(f, xs.copy(), period), dtype=float) - xs
 
     def scalar_big_f(x: float) -> float:
         return _iterate(f, float(x), period) - float(x)

@@ -25,6 +25,7 @@ from enum import Enum
 from typing import NamedTuple
 
 __all__ = [
+    "ConditionViolation",
     "DomainError",
     "PRIMARY_REGIONS",
     "Params",
@@ -262,6 +263,13 @@ class RegionLabel(NamedTuple):
     in_phi_star: bool
     in_psi_star: bool
     simplex_class: SimplexClass
+
+
+class ConditionViolation(ValueError):
+    """An operation needs the quadrant-preserving regime, preserves_quadrant."""
+
+    def __init__(self, what: str):
+        super().__init__(f"{what} requires d1 = 0, alpha <= 1 - d0, mu <= 1 and d0 < 1")
 
 
 def preserves_quadrant(p: Params) -> bool:

@@ -57,7 +57,6 @@ __all__ = [
     "UOrbitKind",
     "UOrbitNotConverged",
     "UPointType",
-    "UStability",
     "analyze",
     "fixed_point_u",
     "fixed_point_u_of",
@@ -66,7 +65,6 @@ __all__ = [
     "u_derivative",
     "u_map",
     "u_orbit_limit",
-    "u_stability",
     "x_minimum",
 ]
 
@@ -189,34 +187,6 @@ class UPointType(Enum):
     ATTRACTING = "attracting"
     REPELLING = "repelling"
     BOUNDARY = "boundary (|U'| = 1)"
-
-
-class UStability(NamedTuple):
-    """Multiplier of U at its fixed point and the induced type."""
-
-    x_star: float
-    u_prime_at_star: float
-    classification: UPointType
-
-
-def u_stability(sp: SimplexParams) -> UStability:
-    """Stability of x* from the multiplier u_derivative(sp, x*).
-
-    The multiplier is U' at the computed x*, one formula with no special
-    case; |U'(x*)| within 1e-12 of 1 is reported as BOUNDARY.  At the
-    corner (2, 1), where the exact multiplier is -1, it comes out as
-    -(1 - 2**-52) and is typed BOUNDARY; where alpha = 2*beta it is within
-    2**-52 of the exact 1 - 2*beta.
-    """
-    xs = fixed_point_u(sp)
-    up = u_derivative(sp, xs)
-    if abs(abs(up) - 1.0) <= BOUNDARY_BAND:
-        kind = UPointType.BOUNDARY
-    elif abs(up) < 1.0:
-        kind = UPointType.ATTRACTING
-    else:
-        kind = UPointType.REPELLING
-    return UStability(x_star=xs, u_prime_at_star=up, classification=kind)
 
 
 def x_minimum(sp: SimplexParams) -> Optional[float]:
@@ -416,14 +386,28 @@ def _proof_roots(sp: SimplexParams) -> Optional[tuple[float, float]]:
 
 
 def analyze(sp: SimplexParams) -> SimplexAnalysis:
-    """One-stop report used by the command line and the demos."""
-    stab = u_stability(sp)
+    """One-stop report used by the command line and the demos.
+
+    The multiplier is u_derivative(sp, x*) at the computed x*, one formula
+    with no special case; |U'(x*)| within BOUNDARY_BAND of 1 is typed
+    BOUNDARY.  At the corner (2, 1), where the exact multiplier is -1, it
+    comes out as -(1 - 2**-52) and is typed BOUNDARY; where alpha = 2*beta
+    it is within 2**-52 of the exact 1 - 2*beta.
+    """
+    xs = fixed_point_u(sp)
+    up = u_derivative(sp, xs)
+    if abs(abs(up) - 1.0) <= BOUNDARY_BAND:
+        kind = UPointType.BOUNDARY
+    elif abs(up) < 1.0:
+        kind = UPointType.ATTRACTING
+    else:
+        kind = UPointType.REPELLING
     cls = shape_class(sp.alpha, sp.beta)
     return SimplexAnalysis(
         invariance=simplex_invariant(sp),
-        x_star=stab.x_star,
-        u_prime_at_star=stab.u_prime_at_star,
-        stability=stab.classification,
+        x_star=xs,
+        u_prime_at_star=up,
+        stability=kind,
         x_min=x_minimum(sp),
         shape_class=cls,
         monotonic_shape=_SHAPE_BY_CLASS.get(cls, ShapeKind.NONE),

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 # the private names are the arithmetic kernels the two modules share
 from .fixed_points import (_MIN_NORMAL, FormulaTag, State, _ldexp, _quadratic,
                            _residual, fixed_point_locations)
-from .params import Params, birth_threshold, preserves_quadrant
+from .params import ConditionViolation, Params, birth_threshold, preserves_quadrant
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,10 +49,8 @@ __all__ = [
     "DeclaredType",
     "FixedPointType",
     "NotAFixedPoint",
-    "OutsideDeclaredRegion",
     "StabilityReport",
     "UNIT_CIRCLE_TOL",
-    "characteristic_roots",
     "check_fixed_point",
     "classify_fixed_point",
     "declared_type_table",
@@ -63,7 +61,6 @@ __all__ = [
     "jacobian_entries",
     "modulus_type",
     "spectral_radius_of",
-    "trace_det",
 ]
 
 UNIT_CIRCLE_TOL = 1e-9
@@ -71,10 +68,6 @@ UNIT_CIRCLE_TOL = 1e-9
 
 class NotAFixedPoint(ValueError):
     """The supplied state does not satisfy the fixed-point equations."""
-
-
-class OutsideDeclaredRegion(ValueError):
-    """Declared types are only defined on the quadrant-preserving sets."""
 
 
 class FixedPointType(Enum):
@@ -107,27 +100,6 @@ def jacobian(p: Params, z: Sequence[float]) -> np.ndarray:
     return np.array([[j00, j01], [j10, j11]])
 
 
-def trace_det(j00, j01, j10, j11):
-    """Trace and determinant of the 2x2 matrix [[j00, j01], [j10, j11]]."""
-    return j00 + j11, j00 * j11 - j01 * j10
-
-
-def characteristic_roots(tr: float, det: float) -> tuple[complex, complex]:
-    """Roots of lam**2 - tr*lam + det, ordered by descending modulus.
-
-    Ties in modulus break by descending real part, then descending
-    imaginary part.  A root beyond the double range is inf.  The roots come
-    from fixed_points._quadratic, in its order where two roots tie; the
-    polynomial is passed as -lam**2 + tr*lam - det so that tr = +-0 picks
-    the same root first as tr > 0.
-    """
-    first, second = _quadratic(-1.0, tr, -det)
-    m1, m2 = abs(first), abs(second)
-    if m2 > m1 or (m2 == m1 and (second.real, second.imag) > (first.real, first.imag)):
-        return (second, first)
-    return (first, second)
-
-
 def spectral_radius_of(j00, j01, j10, j11) -> np.ndarray:
     """abs(_matrix_roots(j00, j01, j10, j11)[0]) elementwise, bit for bit.
 
@@ -140,8 +112,9 @@ def spectral_radius_of(j00, j01, j10, j11) -> np.ndarray:
     import numpy as np
 
     entries = [np.asarray(j, dtype=float) for j in (j00, j01, j10, j11)]
+    j00, j01, j10, j11 = entries
     with np.errstate(all="ignore"):
-        tr, det = np.broadcast_arrays(*trace_det(*entries))
+        tr, det = np.broadcast_arrays(j00 + j11, j00 * j11 - j01 * j10)
         disc = tr * tr - 4.0 * det
         s = np.sqrt(disc)
         q = np.where(tr >= 0.0, -0.5 * (tr + s), -0.5 * (tr - s))
@@ -154,19 +127,31 @@ def spectral_radius_of(j00, j01, j10, j11) -> np.ndarray:
 
 
 def _matrix_roots(j00, j01, j10, j11) -> tuple[complex, complex]:
-    """Eigenvalues of [[j00, j01], [j10, j11]] from its trace and determinant.
+    """Eigenvalues of [[j00, j01], [j10, j11]], ordered by descending modulus.
 
-    When either overflows although the entries are finite, the matrix is
+    They are the roots of lam**2 - tr*lam + det for the trace tr and the
+    determinant det.  Ties in modulus break by descending real part, then
+    descending imaginary part.  A root beyond the double range is inf.  The
+    roots come from fixed_points._quadratic, in its order where two roots
+    tie; the polynomial is passed as -lam**2 + tr*lam - det so that tr = +-0
+    picks the same root first as tr > 0.
+
+    When tr or det overflows although the entries are finite, the matrix is
     first divided by a power of two near its largest entry, and the roots
     are scaled back by the same exact factor.
     """
-    tr, det = trace_det(j00, j01, j10, j11)
-    if abs(tr) < math.inf and abs(det) < math.inf:
-        return characteristic_roots(tr, det)
-    k = math.frexp(max(abs(j00), abs(j01), abs(j10), abs(j11)))[1]
-    first, second = characteristic_roots(*trace_det(
-        math.ldexp(j00, -k), math.ldexp(j01, -k),
-        math.ldexp(j10, -k), math.ldexp(j11, -k)))
+    tr, det = j00 + j11, j00 * j11 - j01 * j10
+    k = 0
+    if not (abs(tr) < math.inf and abs(det) < math.inf):
+        k = math.frexp(max(abs(j00), abs(j01), abs(j10), abs(j11)))[1]
+        j00, j01, j10, j11 = (math.ldexp(j, -k) for j in (j00, j01, j10, j11))
+        tr, det = j00 + j11, j00 * j11 - j01 * j10
+    first, second = _quadratic(-1.0, tr, -det)
+    m1, m2 = abs(first), abs(second)
+    if m2 > m1 or (m2 == m1 and (second.real, second.imag) > (first.real, first.imag)):
+        first, second = second, first
+    if not k:
+        return first, second
     return (complex(_ldexp(first.real, k), _ldexp(first.imag, k)),
             complex(_ldexp(second.real, k), _ldexp(second.imag, k)))
 
@@ -176,7 +161,7 @@ def eigenvalues(m) -> tuple[complex, complex]:
 
     m is any nested 2x2 sequence of reals, a numpy array included; nothing
     here imports numpy.  Raises ValueError on any other shape.  Solves the
-    characteristic polynomial directly; see characteristic_roots.
+    characteristic polynomial directly; see _matrix_roots.
     """
     shape = getattr(m, "shape", None)
     try:
@@ -315,7 +300,7 @@ def declared_type_table(p: Params) -> tuple[DeclaredType, ...]:
     """Closed-form stability table on the quadrant-preserving sets.
 
     Requires the quadrant-preservation inequalities (raises
-    OutsideDeclaredRegion otherwise).  One row per point of
+    params.ConditionViolation otherwise).  One row per point of
     fixed_point_locations(p), in its order, labelled by formula:
 
       origin, below threshold        attracting
@@ -330,9 +315,7 @@ def declared_type_table(p: Params) -> tuple[DeclaredType, ...]:
     disagreement so the table stays usable where the closed forms fail.
     """
     if not preserves_quadrant(p):
-        raise OutsideDeclaredRegion(
-            "declared types require d1 = 0, alpha <= 1 - d0, mu <= 1, d0 < 1"
-        )
+        raise ConditionViolation("the declared type table")
     thr = birth_threshold(p)
     if p.beta < thr:
         origin = FixedPointType.ATTRACTING, "origin below threshold"

@@ -345,6 +345,8 @@ def appended() -> list[tuple[str, list[str]]]:
           "1.2732347862781518e+288", "--mu", "6.90982348082502e-230", "--d0",
           "1.9255630303276417e+154", "--d1", "2.3870432366756736e-07",
           "--x0", "0", "--y0", "0"]),
+        # the cap + 1 only: rejected before any draw is made
+        ("exit2 verify draws above the cap", ["verify", "--draws", str(MAX_VALUES + 1)]),
     ]
 
 

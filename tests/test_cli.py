@@ -30,7 +30,6 @@ from mospop import (
 from mospop.cli import (
     MAX_VALUES,
     NUMBER_FORMAT,
-    TOL_ENV,
     _json_ready,
     _parse_axis,
     build_parser,
@@ -241,13 +240,6 @@ class TestStability:
         code, out, err = run(capsys, [*command, "--tol", tol])
         assert code == 2 and out == ""
         assert err.startswith("error: --tol must be a positive float")
-
-    @pytest.mark.parametrize("raw", ["nan", "inf", "0"])
-    def test_tol_env_must_be_positive_and_finite(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv(TOL_ENV, raw)
-        code, out, err = run(capsys, ["simulate", *EX3, "--x0", "50", "--y0", "80"])
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: {TOL_ENV} must be a")
 
     def test_close_eigenvalue_pair_is_typed(self, capsys):
         # both eigenvalues at the origin lie within 1.5e-7 of 1, where the
@@ -763,6 +755,12 @@ class TestVerifyCommand:
         code, out, err = run(capsys, ["verify", "--draws", draws])
         assert (code, out, err) == (2, "", f"error: --draws must be at least 1, got {draws}\n")
 
+    def test_draws_above_the_cap_exit_2(self, capsys):
+        # rejected before any draw is made
+        n = MAX_VALUES + 1
+        code, out, err = run(capsys, ["verify", "--draws", str(n)])
+        assert (code, out, err) == (2, "", f"error: --draws must be at most {MAX_VALUES}, got {n}\n")
+
     def test_passes_and_prints_one_line_per_check(self, capsys):
         code, out, _ = run(capsys, ["verify"])
         assert code == 0
@@ -798,23 +796,15 @@ class TestProcessLevel:
         b = subprocess.run(argv, capture_output=True)
         assert a.stdout == b.stdout and a.returncode == b.returncode == 0
 
-    def test_tol_env_override(self):
+    def test_tolerance_comes_from_the_flag_only(self):
+        # MOSPOP_TOL is not read: --tol is the only tolerance source
         env = dict(os.environ, MOSPOP_TOL="1e-3")
         argv = [sys.executable, "-m", "mospop", "simulate", *EX3,
                 "--x0", "50", "--y0", "80", "--json"]
-        loose = subprocess.run(argv, capture_output=True, env=env)
-        tight = subprocess.run(argv, capture_output=True)
-        nl = json.loads(loose.stdout)["iterations_used"]
-        nt = json.loads(tight.stdout)["iterations_used"]
-        assert nl < nt
-
-    def test_tol_env_invalid_exit_2(self):
-        env = dict(os.environ, MOSPOP_TOL="not-a-number")
-        out = subprocess.run(
-            [sys.executable, "-m", "mospop", "simulate", *EX3, "--x0", "1", "--y0", "1"],
-            capture_output=True, env=env,
-        )
-        assert out.returncode == 2
+        with_env = subprocess.run(argv, capture_output=True, env=env)
+        without = subprocess.run(argv, capture_output=True)
+        assert with_env.returncode == without.returncode == 0
+        assert with_env.stdout == without.stdout
 
     @pytest.mark.parametrize("argv", [
         ["fixed-points", "--alpha", "1", "--beta", "2", "--mu", "1", "--d1", "1e200"],

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from mospop import dynamics
-from mospop.dynamics import ConditionViolation, OrbitVerdict, Samples, local_limit, orbit
+from mospop.dynamics import OrbitVerdict, Samples, local_limit, orbit
 from mospop.fixed_points import State, find_fixed_points, fixed_point_locations, gamma, step
 from mospop.oracles import sample_region
-from mospop.params import validate
-from mospop.stability import FixedPointType, classify_fixed_point
+from mospop.params import ConditionViolation, validate
+from mospop.stability import FixedPointType, classify_fixed_point, declared_type_table
 
 EX1 = validate(1.5, 0.4, 0.5, 0.0, 0.0)
 EX3 = validate(6.0, 0.5, 0.4, 0.6, 0.0)
@@ -524,3 +524,15 @@ class TestLocalLimit:
             local_limit(EX1)  # alpha too large
         with pytest.raises(ConditionViolation):
             local_limit(validate(0.4, 0.3, 1.5, 0.2, 0.0))  # mu too large
+
+    def test_both_regime_checks_state_one_condition(self):
+        # local_limit and declared_type_table raise the one params class,
+        # whose message spells the inequalities once
+        messages = []
+        for needs_the_regime in (local_limit, declared_type_table):
+            with pytest.raises(ConditionViolation) as exc:
+                needs_the_regime(EX1)
+            messages.append(str(exc.value))
+        text = " requires d1 = 0, alpha <= 1 - d0, mu <= 1 and d0 < 1"
+        assert messages == ["local limit prediction" + text,
+                            "the declared type table" + text]

@@ -28,7 +28,7 @@ from capture_golden import (  # noqa: E402
 
 from mospop.cli import _parse_axis  # noqa: E402
 from mospop.params import RATES  # noqa: E402
-from mospop.stability import jacobian_entries, trace_det  # noqa: E402
+from mospop.stability import jacobian_entries  # noqa: E402
 
 ENTRIES = json.loads((GOLDEN / "cli.json").read_text(encoding="ascii"))
 NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|\b(nan|inf)\b")
@@ -95,8 +95,8 @@ def _origin_discriminants(argv: list[str]) -> list[float]:
     out = []
     for cell in itertools.product(*axes):
         cell_rates = dict(rates, **dict(cell))
-        tr, det = trace_det(*jacobian_entries(
-            *(cell_rates[name] for name in RATES), 0.0))
+        j00, j01, j10, j11 = jacobian_entries(*(cell_rates[name] for name in RATES), 0.0)
+        tr, det = j00 + j11, j00 * j11 - j01 * j10
         out.append(tr * tr - 4.0 * det)
     return out
 

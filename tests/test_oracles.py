@@ -222,15 +222,21 @@ class TestGridPeriodScan:
 
     def test_cosine_fixed_point(self):
         # dottie number, an easy external cross-check
-        pts = grid_period_scan(math.cos, (0.0, 1.0), 1)
+        pts = grid_period_scan(np.cos, (0.0, 1.0), 1)
         assert len(pts) == 1
         assert pts[0] == pytest.approx(0.7390851332151607, abs=1e-8)
 
     def test_rejects_bad_domain_and_period(self):
         with pytest.raises(ValueError):
-            grid_period_scan(math.cos, (1.0, 0.0), 1)
+            grid_period_scan(np.cos, (1.0, 0.0), 1)
         with pytest.raises(ValueError):
-            grid_period_scan(math.cos, (0.0, 1.0), 0)
+            grid_period_scan(np.cos, (0.0, 1.0), 0)
+
+    def test_a_map_that_fails_on_the_grid_raises(self):
+        # the map is called on the whole grid at once; a scalar-only map
+        # fails there instead of falling back to a point-by-point sweep
+        with pytest.raises(TypeError):
+            grid_period_scan(math.cos, (0.0, 1.0), 1)
 
     def test_scan_agrees_with_closed_form_fixed_point(self):
         rng = np.random.default_rng(11)

@@ -31,7 +31,6 @@ from mospop.simplex import (
     u_derivative,
     u_map,
     u_orbit_limit,
-    u_stability,
     x_minimum,
 )
 from samplers import sample_outside_pairs
@@ -180,14 +179,14 @@ class TestFixedPointAndStability:
     def test_corner_is_the_boundary_case(self):
         # U' at the computed x*, with no special case: the exact -1 comes out
         # 2**-52 above, and the 1e-12 band types it BOUNDARY
-        st_ = u_stability(CORNER)
-        assert st_.u_prime_at_star == -(1.0 - 2.0**-52)  # exactly
-        assert st_.classification is UPointType.BOUNDARY
+        a = analyze(CORNER)
+        assert a.u_prime_at_star == -(1.0 - 2.0**-52)  # exactly
+        assert a.stability is UPointType.BOUNDARY
 
     def test_unit_rates_attract(self):
-        st_ = u_stability(SimplexParams(1.0, 1.0))
-        assert st_.u_prime_at_star == pytest.approx(-0.3819660112501051, abs=1e-12)
-        assert st_.classification is UPointType.ATTRACTING
+        a = analyze(SimplexParams(1.0, 1.0))
+        assert a.u_prime_at_star == pytest.approx(-0.3819660112501051, abs=1e-12)
+        assert a.stability is UPointType.ATTRACTING
 
     @pytest.mark.parametrize("lo, hi", [(-12, 12), (-300, 300)])
     def test_multiplier_is_accurate_at_every_scale(self, lo, hi):
@@ -197,7 +196,7 @@ class TestFixedPointAndStability:
         with localcontext() as ctx:
             ctx.prec = 80
             for alpha, beta in (10.0 ** rng.uniform(lo, hi, (20_000, 2))).tolist():
-                up = u_stability(SimplexParams(alpha, beta)).u_prime_at_star
+                up = analyze(SimplexParams(alpha, beta)).u_prime_at_star
                 assert math.isfinite(up), (alpha, beta)
                 a, b = Decimal(alpha), Decimal(beta)
                 slope = a / (1 + 2 * b / ((a * a + 4 * b * b).sqrt() + a)) ** 2
@@ -207,7 +206,7 @@ class TestFixedPointAndStability:
     def test_multiplier_where_alpha_is_twice_beta(self):
         # the exact value is 1 - 2*beta; it comes out within 2**-52 of it
         for beta in (0.5, 0.25, 0.75, 1.0):
-            up = u_stability(SimplexParams(2.0 * beta, beta)).u_prime_at_star
+            up = analyze(SimplexParams(2.0 * beta, beta)).u_prime_at_star
             assert abs(up - (1.0 - 2.0 * beta)) <= 2.0**-52
 
     def test_fixed_point_is_accurate_up_to_the_largest_double(self):
@@ -232,9 +231,7 @@ class TestFixedPointAndStability:
     def test_inside_the_region_never_repels(self):
         rng = np.random.default_rng(83)
         for alpha, beta in sample_invariance_pairs(300, rng):
-            assert u_stability(SimplexParams(alpha, beta)).classification is not (
-                UPointType.REPELLING
-            )
+            assert analyze(SimplexParams(alpha, beta)).stability is not UPointType.REPELLING
 
 
 class TestShape:
@@ -380,7 +377,7 @@ class TestAnalyze:
         a = analyze(CORNER)
         assert a.invariance.region is SimplexClass.B
         assert a.x_star == pytest.approx(math.sqrt(2) - 1, abs=1e-15)
-        assert a.u_prime_at_star == -(1.0 - 2.0**-52)  # see u_stability
+        assert a.u_prime_at_star == -(1.0 - 2.0**-52)  # see analyze
         assert a.stability is UPointType.BOUNDARY
         assert a.shape_class is SimplexClass.D
         assert a.monotonic_shape is ShapeKind.DECREASING

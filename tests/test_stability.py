@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from mospop.fixed_points import find_fixed_points, step
 from mospop.oracles import fd_jacobian, sample_region
-from mospop.params import birth_threshold, validate
+from mospop.params import ConditionViolation, birth_threshold, validate
 from mospop.stability import (
     UNIT_CIRCLE_TOL,
     FixedPointType,
     NotAFixedPoint,
-    OutsideDeclaredRegion,
     _matrix_roots,
-    characteristic_roots,
     classify_fixed_point,
     declared_type_table,
     eigenvalues,
@@ -26,7 +24,6 @@ from mospop.stability import (
     jacobian_entries,
     modulus_type,
     spectral_radius_of,
-    trace_det,
 )
 
 EX1 = validate(1.5, 0.4, 0.5, 0.0, 0.0)
@@ -149,15 +146,17 @@ class TestEigenvalues:
 
 
 class TestCharacteristicRoots:
+    """_matrix_roots on matrices with a planted trace and determinant."""
+
     def test_discriminant_overflow(self):
         # tr*tr overflows although both roots are representable
-        assert characteristic_roots(4e200, 3e200) == (4e200 + 0j, 0.75 + 0j)
+        assert _matrix_roots(*_entries_with(4e200, 3e200)) == (4e200 + 0j, 0.75 + 0j)
         # 4*det overflows: roots +-sqrt(-det)
-        lam1, lam2 = characteristic_roots(0.0, -1e308)
+        lam1, lam2 = _matrix_roots(*_entries_with(0.0, -1e308))
         assert lam1.real == pytest.approx(1e154, rel=1e-15, abs=0.0)
         assert lam2.real == pytest.approx(-1e154, rel=1e-15, abs=0.0)
         # tr*tr - 4*det is inf - inf; the pair is complex, 1e154 +- sqrt(2e308)/2 i
-        lam1, lam2 = characteristic_roots(2e154, 1.5e308)
+        lam1, lam2 = _matrix_roots(*_entries_with(2e154, 1.5e308))
         assert lam1 == pytest.approx(complex(1e154, 7.0710678118654755e153),
                                      rel=1e-15, abs=0.0)
         assert lam2 == lam1.conjugate()
@@ -165,18 +164,18 @@ class TestCharacteristicRoots:
     def test_discriminant_underflow(self):
         # tr*tr is subnormal and keeps only a few bits of 1e-320; the
         # expected roots are the exact ones, rounded to double
-        lam1, lam2 = characteristic_roots(1e-160, 1e-321)
+        lam1, lam2 = _matrix_roots(*_entries_with(1e-160, 1e-321))
         assert lam1 == 8.875548213350831e-161 + 0j
         assert lam2 == 1.1244517866491689e-161 + 0j
-        lam1, lam2 = characteristic_roots(3e-162, 1e-323)
+        lam1, lam2 = _matrix_roots(*_entries_with(3e-162, 1e-323))
         assert lam1 == complex(1.5e-162, 2.7624831070659836e-162)
         assert lam2 == lam1.conjugate()
 
     def test_scaled_path_is_exact_in_the_normal_range(self):
         # a zero discriminant takes the scaled path; powers of two keep it exact
-        assert characteristic_roots(2.0, 1.0) == (1 + 0j, 1 + 0j)
-        assert characteristic_roots(0.0, 0.0) == (0j, 0j)
-        assert characteristic_roots(-6.0, 9.0) == (-3 + 0j, -3 + 0j)
+        assert _matrix_roots(*_entries_with(2.0, 1.0)) == (1 + 0j, 1 + 0j)
+        assert _matrix_roots(*_entries_with(0.0, 0.0)) == (0j, 0j)
+        assert _matrix_roots(*_entries_with(-6.0, 9.0)) == (-3 + 0j, -3 + 0j)
 
     def test_against_numpy_roots_across_scales(self):
         rng = np.random.default_rng(53)
@@ -186,7 +185,7 @@ class TestCharacteristicRoots:
             e2 = rng.uniform(max(-200.0, -300.0 - e1), min(200.0, 300.0 - e1))
             lam = rng.uniform(-1.0, 1.0, size=2) * 10.0 ** np.array([e1, e2])
             tr, det = float(lam[0] + lam[1]), float(lam[0] * lam[1])
-            ours = characteristic_roots(tr, det)
+            ours = _matrix_roots(*_entries_with(tr, det))
             ref = sorted((complex(v) for v in np.roots([1.0, -tr, det])),
                          key=lambda v: (-abs(v), -v.real, -v.imag))
             for a, b in zip(ours, ref):
@@ -205,7 +204,8 @@ def _entries_with(tr: float, det: float) -> tuple[float, float, float, float]:
     zeros included (tr = det = -0.0 is the one pair no entries give)."""
     j11 = -0.0 if math.copysign(1.0, tr) < 0 or math.copysign(1.0, det) < 0 else 0.0
     entries = (tr, -det, 1.0, j11)
-    assert [v.hex() for v in trace_det(*entries)] == [tr.hex(), det.hex()]
+    got = entries[0] + entries[3], entries[0] * entries[3] - entries[1] * entries[2]
+    assert [v.hex() for v in got] == [tr.hex(), det.hex()]
     return entries
 
 
@@ -240,8 +240,8 @@ class TestSpectralRadius:
         ((1e200, 0.5, 0.5), lambda disc: disc == math.inf),
     ], ids=["rounded negative", "zero", "overflowing"])
     def test_planted_discriminant_branches(self, rates, reaches):
-        entries = jacobian_entries(*rates, 0.0, 0.0, 0.0)
-        tr, det = trace_det(*entries)
+        j00, j01, j10, j11 = entries = jacobian_entries(*rates, 0.0, 0.0, 0.0)
+        tr, det = j00 + j11, j00 * j11 - j01 * j10
         assert reaches(tr * tr - 4.0 * det)
         assert float(spectral_radius_of(*entries)).hex() == _scalar_radius_hex(*entries)
 
@@ -255,8 +255,8 @@ class TestSpectralRadius:
     def test_overflowing_determinant_is_scaled_not_inf(self):
         # det = -1*0 - 1e308*2 overflows; the eigenvalues are about
         # -0.5 +- sqrt(2e308), well inside the double range
-        entries = (-1.0, 1e308, 2.0, 0.0)
-        assert trace_det(*entries)[1] == -math.inf
+        j00, j01, j10, j11 = entries = (-1.0, 1e308, 2.0, 0.0)
+        assert j00 * j11 - j01 * j10 == -math.inf
         got = float(spectral_radius_of(*entries))
         assert got.hex() == _scalar_radius_hex(*entries)
         assert got == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
@@ -486,7 +486,7 @@ class TestDeclaredTable:
             assert row.agrees
 
     def test_outside_the_quadrant_preserving_set(self):
-        with pytest.raises(OutsideDeclaredRegion):
+        with pytest.raises(ConditionViolation, match="^the declared type table requires "):
             declared_type_table(EX1)
 
     def test_origin_saddle_where_the_coupling_is_weak(self):
