@@ -37,7 +37,7 @@ print("\n2. unbounded larvae with an adult plateau")
 p = validate(1.5, 0.5, 0.4, 0.0, 0.0)
 res = orbit(p, (10.0, 9.0), divergence_threshold=1e6, max_iter=4_000_000)
 print(f"  verdict {res.verdict.value} after {res.iterations_used} iterations")
-print(f"  adults level off near {res.y_limit_estimate:.6f} "
+print(f"  adults level off near {res.samples.y[-1]:.6f} "
       f"(alpha/mu = {1.5 / 0.4})")
 save("unbounded", res)
 

@@ -169,7 +169,7 @@ def cmd_fixed_points(args) -> int:
         payload["discriminant"] = fps.quad_discriminant
     if fps.kind is fixed_points.FixedPointKind.CONTINUUM:
         payload["curve"] = "y = alpha*x/(mu*(1+x)) for all x >= 0"
-        payload["sample_grid"] = fps.sample_grid
+        payload["sample_grid"] = [r.location.x for r in fps.points]
 
     if args.verify:
         a, b, c = fixed_points.larval_quadratic(p)
@@ -256,8 +256,7 @@ def cmd_stability(args) -> int:
     if args.at is not None:
         targets = [tuple(args.at)]
     else:
-        targets = [tuple(r.location)
-                   for r in fixed_points.find_fixed_points(p).points]
+        targets = [(x, y) for x, y, _ in fixed_points.fixed_point_locations(p)[1]]
 
     reports = [_stability_payload(p, z, tol, args.verify) for z in targets]
     payload: dict = {"points": reports}
@@ -306,8 +305,9 @@ def render_trajectory_svg(samples) -> str:
     """Minimal two-polyline SVG of an orbit's Samples, with axis ticks."""
     width, height = 720, 460
     ml, mr, mt, mb = 64, 18, 42, 50
-    ns = [float(n) for n in samples.n]
-    xs, ys = samples.x, samples.y
+    # only samples with finite x and y are scaled and drawn; sample 0 is one
+    ns, xs, ys = zip(*[(float(n), x, y) for n, x, y in zip(samples.n, samples.x, samples.y)
+                       if math.isfinite(x) and math.isfinite(y)])
     n_hi = max(ns) if max(ns) > 0 else 1.0
     v_lo = min(0.0, min(xs), min(ys))
     v_hi = max(max(xs), max(ys))
@@ -393,9 +393,9 @@ def cmd_simulate(args) -> int:
     if result.limit is not None:
         payload["limit"] = {"x": result.limit.x, "y": result.limit.y}
         human.append(f"limit: ({fmt(result.limit.x)}, {fmt(result.limit.y)})")
-    if result.y_limit_estimate is not None:
-        payload["y_limit_estimate"] = result.y_limit_estimate
-        human.append(f"y limit estimate: {fmt(result.y_limit_estimate)}")
+    if result.verdict is dynamics.OrbitVerdict.DIVERGED_X:
+        payload["y_limit_estimate"] = final_y
+        human.append(f"y limit estimate: {fmt(final_y)}")
     if result.period is not None:
         payload["period"] = result.period
         human.append(f"period: {result.period}")
@@ -605,6 +605,9 @@ def cmd_sweep(args) -> int:
         if fixed[name] is None and name not in (name1, name2):
             _usage_error(f"--{name} is required (not an axis) for quantity "
                          f"{args.quantity!r}")
+    for name in ("mu", "d0", "d1") if x_star else ():
+        if fixed[name] is not None or name in (name1, name2):
+            _usage_error(f"quantity 'x_star' depends on alpha and beta only, not {name}")
     for name in ("d0", "d1"):
         if fixed[name] is None:  # not `or`: --d0 -0.0 keeps its sign
             fixed[name] = 0.0

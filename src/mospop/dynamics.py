@@ -37,49 +37,30 @@ class OrbitVerdict(Enum):
 
 
 class Samples(Sequence):
-    """Sampled iterates of an orbit, stored as three immutable columns.
+    """Sampled iterates of an orbit, stored as three columns.
 
     n holds the step numbers, x and y the states' coordinates, all tuples of
     one length.  Item k is the pair (n[k], State(x[k], y[k])), built when it
-    is read; a slice is a Samples.  A Samples equals another column by
-    column, and equals the tuple of its pairs, whose hash it shares.
+    is read.  Two Samples are equal when their columns are.
     """
 
     __slots__ = ("n", "x", "y")
 
     def __init__(self, n: Sequence[int], x: Sequence[float], y: Sequence[float]):
-        n, x, y = tuple(n), tuple(x), tuple(y)
-        if not len(n) == len(x) == len(y):
+        self.n, self.x, self.y = tuple(n), tuple(x), tuple(y)
+        if not len(self.n) == len(self.x) == len(self.y):
             raise ValueError("sample columns must have one length")
-        for name, column in (("n", n), ("x", x), ("y", y)):
-            object.__setattr__(self, name, column)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Samples is immutable")
-
-    def __reduce__(self):
-        return Samples, (self.n, self.x, self.y)
 
     def __len__(self) -> int:
         return len(self.n)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return Samples(self.n[k], self.x[k], self.y[k])
+    def __getitem__(self, k: int) -> tuple[int, State]:
         return self.n[k], State(self.x[k], self.y[k])
-
-    def __iter__(self):
-        return zip(self.n, map(State, self.x, self.y))
 
     def __eq__(self, other):
         if isinstance(other, Samples):
             return self.n == other.n and self.x == other.x and self.y == other.y
-        if isinstance(other, tuple):
-            return tuple(self) == other
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return f"Samples(n={self.n!r}, x={self.x!r}, y={self.y!r})"
@@ -90,8 +71,8 @@ class OrbitResult(NamedTuple):
 
     samples holds exact iterates: every step up to 1000, then a geometric
     thinning, and always the final state reached.  It is a Samples, the
-    columns samples.n, samples.x and samples.y; each (n, state) pair is
-    built only when it is read.  The quadrant flag records whether any
+    columns samples.n, samples.x and samples.y; samples[k] builds the pair
+    (n, state) when it is read.  The quadrant flag records whether any
     iterate had a negative coordinate; such runs are still iterated but
     carry no biological meaning.
     """
@@ -100,7 +81,6 @@ class OrbitResult(NamedTuple):
     iterations_used: int
     samples: Samples
     limit: Optional[State] = None
-    y_limit_estimate: Optional[float] = None
     period: Optional[int] = None
     left_positive_quadrant: bool = False
 
@@ -148,8 +128,8 @@ def orbit(
       converged   successive iterates moved less than tol and the state sits
                   within 10*tol of a known fixed point, which is reported as
                   the limit;
-      diverged_x  x exceeded divergence_threshold; the current y is reported
-                  as y_limit_estimate;
+      diverged_x  x exceeded divergence_threshold; the final sample holds
+                  that state, and its y estimates the adults' limit;
       periodic    the state came back within tol of the one saved state,
                   the tortoise (Brent's cycle detection), k steps after it
                   was saved: period k.  The tortoise is the start, then the
@@ -200,7 +180,6 @@ def orbit(
 
     verdict = OrbitVerdict.UNDECIDED
     limit: Optional[State] = None
-    y_est: Optional[float] = None
     period: Optional[int] = None
     targets = None  # fixed points, found at the first convergence candidate
     inf = math.inf
@@ -215,18 +194,15 @@ def orbit(
         yn = t - m * y + y
 
         if not (0.0 <= xn <= x_cap and 0.0 <= yn < inf):
-            # rare, checked in this order: left the domain or stopped being
-            # finite (undecided), left the quadrant (flagged), diverged
-            if not (math.isfinite(xn) and math.isfinite(yn)) or xn <= -1.0:
-                if xn < 0.0 or yn < 0.0:
-                    left = True
-                x, y = xn, yn
-                break
+            # rare, checked in this order: left the quadrant (flagged), left
+            # the domain or stopped being finite (undecided), diverged
             if xn < 0.0 or yn < 0.0:
                 left = True
+            if not (math.isfinite(xn) and math.isfinite(yn)) or xn <= -1.0:
+                x, y = xn, yn
+                break
             if xn > divergence_threshold:
                 verdict = OrbitVerdict.DIVERGED_X
-                y_est = yn
                 x, y = xn, yn
                 break
 
@@ -280,7 +256,6 @@ def orbit(
         iterations_used=n,
         samples=Samples(ns, xs, ys),
         limit=limit,
-        y_limit_estimate=y_est,
         period=period,
         left_positive_quadrant=left,
     )

@@ -82,10 +82,9 @@ def gamma(p: Params, x: float):
     """Adult density forced by larval density x at a fixed point.
 
     gamma(x) = alpha*x/(mu*(1 + x)).  Increasing in x, bounded above by
-    alpha/mu.  Accepts scalars or numpy arrays.
+    alpha/mu.  x is a float or a numpy float scalar.
     """
-    bad = x <= -1.0
-    if bad if isinstance(bad, bool) else bad.any():
+    if x <= -1.0:
         raise ValueError("gamma is defined for x > -1 only")
     return p.alpha * x / (p.mu * (1.0 + x))
 
@@ -245,15 +244,14 @@ class FixedPointSet(NamedTuple):
     """All fixed points of the map for one parameter vector.
 
     For the continuum kind, points holds samples along the curve
-    x -> (x, gamma(x)) on sample_grid; otherwise sample_grid is None and
-    points is the full list.
+    x -> (x, gamma(x)), in the order of find_fixed_points' sample_grid;
+    otherwise points is the full list.
     quad_discriminant is reported whenever d1 != 0, even when the
     quadratic contributes no nonnegative root.
     """
 
     kind: FixedPointKind
     points: tuple[FixedPointReport, ...]
-    sample_grid: Optional[tuple[float, ...]] = None
     quad_discriminant: Optional[float] = None
 
 
@@ -269,7 +267,7 @@ def fixed_point_locations(
     """The kind of the fixed-point set at p and each point as (x, y, tag).
 
     The one place that turns the primary region into fixed points:
-    find_fixed_points and stability.declared_type_table both iterate it.
+    find_fixed_points, declared_type_table and cli.cmd_stability iterate it.
     The extinct state comes first; on the continuum the points are the
     curve samples in sample_grid order, and the default grid starts at
     x = 0.  No residual is formed.  Raises ValueError on a negative
@@ -311,11 +309,9 @@ def find_fixed_points(
     reported with the max-norm residual of one map step at the point.
     """
     kind, locations = fixed_point_locations(p, sample_grid)
-    continuum = kind is FixedPointKind.CONTINUUM
     return FixedPointSet(
         kind=kind,
         points=tuple([FixedPointReport(State(x, y), tag, _residual(p, x, y))
                       for x, y, tag in locations]),
-        sample_grid=tuple(float(x) for x in sample_grid) if continuum else None,
         quad_discriminant=discriminant(p) if p.d1 != 0.0 else None,
     )

@@ -25,6 +25,10 @@ __all__ = [
     "sample_region",
 ]
 
+FD_STEP = 1e-6     # the step of fd_jacobian and fd_derivative
+SCAN_TOL = 1e-10   # grid_period_scan bisects each sign change down to this width
+SCAN_FLAT = 1e-12  # and reports each grid point where |f^period(x) - x| <= this
+
 
 def quad_roots(a: float, b: float, c: float) -> tuple[complex, ...]:
     """Roots of a*x**2 + b*x + c as numpy's companion-matrix eigenvalues.
@@ -45,13 +49,11 @@ def quad_roots(a: float, b: float, c: float) -> tuple[complex, ...]:
 def fd_jacobian(
     f: Callable[[float, float], tuple[float, float]],
     z: Sequence[float],
-    h: float = 1e-6,
 ) -> np.ndarray:
     """Centered finite-difference Jacobian of a planar map at state z."""
     import numpy as np
 
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step h must be positive and finite, got {h}")
+    h = FD_STEP
     x, y = float(z[0]), float(z[1])
     fxp = f(x + h, y)
     fxm = f(x - h, y)
@@ -65,11 +67,9 @@ def fd_jacobian(
     )
 
 
-def fd_derivative(f: Callable[[float], float], x: float, h: float = 1e-6) -> float:
+def fd_derivative(f: Callable[[float], float], x: float) -> float:
     """Centered finite-difference derivative of a scalar map at x."""
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step h must be positive and finite, got {h}")
-    return (f(x + h) - f(x - h)) / (2.0 * h)
+    return (f(x + FD_STEP) - f(x - FD_STEP)) / (2.0 * FD_STEP)
 
 
 def _iterate(f: Callable, x, times: int):
@@ -83,15 +83,13 @@ def grid_period_scan(
     domain: tuple[float, float],
     period: int,
     grid: int = 1000,
-    tol: float = 1e-10,
-    zero_tol: float = 1e-12,
 ) -> list[float]:
     """Brute-force periodic points of f on a closed interval.
 
     Evaluates F(x) = f^period(x) - x on a uniform grid, reports grid points
-    where |F| <= zero_tol (covers whole-interval cycle families), bisects
-    every sign change of F down to tol, and drops any candidate whose least
-    period is a proper divisor of `period` (checked with f^d(x) ~ x).
+    where |F| <= SCAN_FLAT (covers whole-interval cycle families), bisects
+    every sign change of F down to SCAN_TOL, and drops any candidate whose
+    least period is a proper divisor of `period` (|f^d(x) - x| <= 1e-9).
 
     f must accept a numpy array and act elementwise, as simplex.u_map
     does; it is also called on single floats.  The map must be defined on
@@ -116,7 +114,7 @@ def grid_period_scan(
     def least_period_divides(x: float) -> bool:
         for d in range(1, period):
             if period % d == 0:
-                if abs(_iterate(f, float(x), d) - float(x)) <= max(tol, 1e-9):
+                if abs(_iterate(f, float(x), d) - float(x)) <= 1e-9:
                     return True
         return False
 
@@ -124,12 +122,12 @@ def grid_period_scan(
 
     def push(x: float):
         for prev in found:
-            if abs(prev - x) <= max(10.0 * tol, 1e-9):
+            if abs(prev - x) <= 1e-9:
                 return
         if not least_period_divides(x):
             found.append(x)
 
-    flat = np.abs(big_f) <= zero_tol
+    flat = np.abs(big_f) <= SCAN_FLAT
     for i in np.nonzero(flat)[0]:
         push(float(xs[i]))
 
@@ -146,7 +144,7 @@ def grid_period_scan(
             for _ in range(200):
                 mid = 0.5 * (a + b)
                 fm = scalar_big_f(mid)
-                if fm == 0.0 or (b - a) <= tol:
+                if fm == 0.0 or (b - a) <= SCAN_TOL:
                     a = b = mid
                     break
                 if (fa < 0) == (fm < 0):

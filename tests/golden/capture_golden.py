@@ -347,6 +347,17 @@ def appended() -> list[tuple[str, list[str]]]:
           "--x0", "0", "--y0", "0"]),
         # the cap + 1 only: rejected before any draw is made
         ("exit2 verify draws above the cap", ["verify", "--draws", str(MAX_VALUES + 1)]),
+        # x* reads alpha and beta only: no other rate may be an axis or a flag
+        ("exit2 sweep x_star mu axis",
+         ["sweep", "--axis1", "alpha:1:2:1", "--axis2", "mu:0.5:1:0.5",
+          "--quantity", "x_star", "--beta", "0.5", "--output", "-"]),
+        ("exit2 sweep x_star d1 flag",
+         ["sweep", "--axis1", "alpha:1:2:1", "--axis2", "beta:0.5:1:0.5",
+          "--quantity", "x_star", "--d1", "7", "--output", "-"]),
+        # the orbit stops at (inf, 5.5): the plot leaves that sample out
+        ("simulate svg of an orbit that stops at a non-finite state",
+         ["simulate", "--alpha", "1", "--beta", "1e308", "--mu", "0.5", "--x0", "1",
+          "--y0", "10", "--divergence-threshold", "inf", "--svg", "{tmp}/o.svg"]),
     ]
 
 

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -370,6 +371,18 @@ class TestSimulate:
         assert text.count("<polyline") == 2
         assert "x (larvae)" in text and "y (adults)" in text
 
+    def test_svg_draws_only_finite_samples(self, capsys, tmp_path):
+        # the orbit stops at (inf, 5.5) after one step: only sample 0 is
+        # scaled and drawn
+        path = tmp_path / "traj.svg"
+        code, out, _ = run(capsys, ["simulate", "--alpha", "1", "--beta", "1e308",
+                                    "--mu", "0.5", "--x0", "1", "--y0", "10",
+                                    "--divergence-threshold", "inf", "--svg", str(path)])
+        assert code == 0 and "final state: (inf, 5.5)" in out
+        text = path.read_text()
+        assert not re.search(r"nan|inf", text, re.IGNORECASE)
+        assert re.findall(r'points="([^"]*)"', text) == ["64.00,373.20", "64.00,42.00"]
+
     def test_unwritable_output_exit_3(self, capsys):
         code, _, err = run(capsys, ["simulate", *EX3, "--x0", "1", "--y0", "1",
                                     "--csv", "/nonexistent-dir/x.csv"])
@@ -575,6 +588,21 @@ class TestSweep:
                                       "--quantity", "r0", *flags])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("axis2, flags, name", [
+        ("mu:0.5:1:0.5", ["--beta", "0.5"], "mu"),
+        ("beta:0.5:1:0.5", ["--mu", "3", "--d1", "7"], "mu"),
+        ("beta:0.5:1:0.5", ["--d0", "0"], "d0"),
+        ("d1:0:1:1", ["--beta", "0.5"], "d1"),
+        ("beta:0.5:1:0.5", ["--d1", "7"], "d1"),
+    ])
+    def test_x_star_rejects_the_rates_it_does_not_read(self, capsys, axis2, flags, name):
+        # x* is a function of (alpha, beta) alone: a mu, d0 or d1 axis or
+        # flag would be ignored without a word
+        code, out, err = run(capsys, ["sweep", "--axis1", "alpha:1:2:1", "--axis2", axis2,
+                                      "--quantity", "x_star", *flags, "--output", "-"])
+        assert (code, out, err) == (
+            2, "", f"error: quantity 'x_star' depends on alpha and beta only, not {name}\n")
+
     def test_negative_zero_d0_keeps_its_sign(self, capsys, monkeypatch):
         import mospop.cli as cli
 
@@ -656,6 +684,11 @@ class TestSweep:
     def test_cells_agree_with_scalar_api(self, capsys, quantity):
         seen = set()
         for axis1, axis2, fixed in self.AGREEMENT_GRIDS:
+            if quantity == "x_star":
+                # x* reads alpha and beta only; any other axis or rate exits 2
+                if {axis1.split(":")[0], axis2.split(":")[0]} != {"alpha", "beta"}:
+                    continue
+                fixed = {}
             argv = ["sweep", "--axis1", axis1, "--axis2", axis2,
                     "--quantity", quantity, "--output", "-"]
             for name, v in fixed.items():
@@ -686,9 +719,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("quantity", ["region", "x_star"])
     def test_first_inadmissible_cell_exit_2(self, capsys, quantity):
+        mu = ["--mu", "1"] if quantity == "region" else []
         code, out, err = run(capsys, ["sweep", "--axis1", "alpha:0:1:0.5",
                                       "--axis2", "beta:-1:1:0.5",
-                                      "--quantity", quantity, "--mu", "1",
+                                      "--quantity", quantity, *mu,
                                       "--output", "-"])
         assert code == 2 and out == ""
         # row-major order: the first cell is alpha = 0, beta = -1
