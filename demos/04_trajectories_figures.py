@@ -50,7 +50,16 @@ save("interior", res)
 
 print("\n4. the same limit, predicted without iterating")
 p = validate(0.5, 1.5, 0.5, 0.25, 0.0)
-predicted = local_limit(p)
+predicted = local_limit(p, (3.01, 0.76))
 res = orbit(p, (3.01, 0.76))
 print(f"  local_limit says {tuple(predicted)}; the orbit found "
       f"{tuple(res.limit)} in {res.iterations_used} iterations")
+
+print("\n5. on the psi continuum the limit depends on the start")
+p = validate(0.5, 0.7, 0.7, 0.0, 0.0)
+for start in ((1.0, 1.0), (0.2, 3.0)):
+    predicted = local_limit(p, start)
+    res = orbit(p, start)
+    print(f"  from {start}: local_limit says ({predicted.x:.10g}, {predicted.y:.10g}); "
+          f"the orbit found ({res.limit.x:.10g}, {res.limit.y:.10g}) "
+          f"in {res.iterations_used} iterations")

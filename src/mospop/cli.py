@@ -313,6 +313,13 @@ def render_trajectory_svg(samples) -> str:
     v_hi = max(max(xs), max(ys))
     if v_hi <= v_lo:
         v_hi = v_lo + 1.0
+    # where the span times the plot height overflows, every value and tick
+    # is divided exactly by one power of two near the largest magnitude
+    k = 0
+    if not math.isfinite((height - mt - mb) * (v_hi - v_lo)):
+        k = math.frexp(max(abs(v_lo), abs(v_hi)))[1]
+        xs, ys = ([math.ldexp(v, -k) for v in vs] for vs in (xs, ys))
+        v_lo, v_hi = math.ldexp(v_lo, -k), math.ldexp(v_hi, -k)
 
     def px(n: float) -> float:
         return ml + (width - ml - mr) * n / n_hi
@@ -339,6 +346,8 @@ def render_trajectory_svg(samples) -> str:
         x = px(n)
         v = v_lo + (v_hi - v_lo) * i / 5.0
         y = py(v)
+        # the top tick can round past v_hi, and 2**k times it past the range
+        label = math.ldexp(min(v, v_hi), k) if k else v
         parts += [
             f'<line x1="{x:.2f}" y1="{height - mb}" x2="{x:.2f}" '
             f'y2="{height - mb + 6}" stroke="black"/>',
@@ -347,7 +356,7 @@ def render_trajectory_svg(samples) -> str:
             f'<line x1="{ml - 6}" y1="{y:.2f}" x2="{ml}" y2="{y:.2f}" '
             f'stroke="black"/>',
             f'<text x="{ml - 10}" y="{y + 4:.2f}" font-size="12" '
-            f'text-anchor="end">{v:.6g}</text>',
+            f'text-anchor="end">{label:.6g}</text>',
         ]
     parts += [
         f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 12}" '
@@ -556,8 +565,9 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list:
     fixed_point_count.
 
     grid maps each rate to a float or to an array broadcasting to shape.
-    Region, count, r0 and the spectral radius are evaluated once over the
-    whole grid; x* goes through the scalar root kernel per cell.
+    Every quantity is evaluated once over the whole grid; a cell that
+    needs the scalar path (a rescaled x* or spectral radius) takes it
+    inside the array kernel.
     """
     import numpy as np
 
@@ -567,7 +577,7 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list:
     if quantity == "x_star":
         from . import simplex
 
-        return list(map(simplex.fixed_point_u_of, flat(grid["alpha"]), flat(grid["beta"])))
+        return flat(simplex.fixed_point_u_array(grid["alpha"], grid["beta"]))
     alpha, beta, mu, d0, d1 = (grid[name] for name in params.RATES)
     if quantity in ("region", "fixed_point_count"):
         names = params.PRIMARY_REGIONS if quantity == "region" else _COUNT_BY_REGION

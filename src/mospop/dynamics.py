@@ -13,8 +13,10 @@ from collections.abc import Sequence
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .fixed_points import FixedPointKind, State, fixed_point_locations, gamma, phi1_point
-from .params import ConditionViolation, Params, birth_threshold, preserves_quadrant
+from .fixed_points import (FixedPointKind, State, fixed_point_locations, gamma, phi1_point,
+                           quad_roots)
+from .params import (ConditionViolation, Params, birth_threshold, preserves_quadrant,
+                     primary_region)
 
 __all__ = [
     "OrbitResult",
@@ -261,14 +263,20 @@ def orbit(
     )
 
 
-def local_limit(p: Params) -> State:
-    """Predicted local limit of orbits in the quadrant-preserving regime.
+def local_limit(p: Params, z0) -> State:
+    """Predicted limit of the orbit from z0 = (x0, y0) in the
+    quadrant-preserving regime.
 
     Requires the quadrant-preservation inequalities of preserves_quadrant;
     otherwise params.ConditionViolation.
 
-    Returns (0, 0) when beta <= mu*(1 + d0/alpha).  Above that threshold
-    with d0 > 0 the limit is the positive fixed point
+    On psi (d0 = d1 = 0, beta = mu) the step conserves x + y, and the limit
+    is the continuum point (x, gamma(x)) on the start's line,
+    x + gamma(x) = x0 + y0: the largest root of
+    x**2 + (1 + alpha/mu - s)*x - s = 0 for s = x0 + y0.
+
+    Otherwise z0 is not read.  Returns (0, 0) when beta <= mu*(1 + d0/alpha).
+    Above that threshold with d0 > 0 the limit is the positive fixed point
 
         x* = alpha*(beta - mu)/(mu*d0) - 1,   y* = alpha*x*/(mu*(1 + x*)).
 
@@ -276,11 +284,15 @@ def local_limit(p: Params) -> State:
     larval coordinate grows without bound while y approaches alpha/mu, and
     the returned state is (inf, alpha/mu).
 
-    The prediction is local: it is guaranteed for initial states in a
-    neighborhood of the limit, not for the whole quadrant.
+    Off psi the prediction is local: it is guaranteed for initial states in
+    a neighborhood of the limit, not for the whole quadrant.
     """
     if not preserves_quadrant(p):
         raise ConditionViolation("local limit prediction")
+    if primary_region(p) == "psi":
+        s = z0[0] + z0[1]
+        x = quad_roots(1.0, 1.0 + p.alpha / p.mu - s, -s)[0].real
+        return State(x, gamma(p, x))
     if p.beta <= birth_threshold(p):
         return State(0.0, 0.0)
     if p.d0 == 0.0:

@@ -59,6 +59,7 @@ __all__ = [
     "UPointType",
     "analyze",
     "fixed_point_u",
+    "fixed_point_u_array",
     "fixed_point_u_of",
     "period2_set",
     "simplex_invariant",
@@ -181,6 +182,29 @@ def fixed_point_u_of(alpha: float, beta: float) -> float:
         half, beta = 0.5 * (scale * alpha), scale * beta
         den = math.hypot(half, beta) + half
     return beta / den
+
+
+def fixed_point_u_array(alpha, beta):
+    """fixed_point_u_of elementwise, as a float array.
+
+    alpha and beta are floats or arrays that broadcast together.  Where the
+    denominator lies in [2**-960, inf) this is the same expression as array
+    arithmetic; np.hypot may differ from math.hypot in the last bit, so
+    such a cell can differ from fixed_point_u_of by a few ulps.  Each other
+    cell goes through fixed_point_u_of itself, which rescales the rates.
+    """
+    import numpy as np
+
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float),
+                                      np.asarray(beta, dtype=float))
+    with np.errstate(all="ignore"):
+        half = 0.5 * alpha
+        den = np.hypot(half, beta) + half
+        x = np.asarray(beta / den)
+    rest = ~((2.0**-960 <= den) & (den < math.inf))
+    if rest.any():
+        x[rest] = list(map(fixed_point_u_of, alpha[rest].tolist(), beta[rest].tolist()))
+    return x
 
 
 class UPointType(Enum):

@@ -358,7 +358,20 @@ def appended() -> list[tuple[str, list[str]]]:
         ("simulate svg of an orbit that stops at a non-finite state",
          ["simulate", "--alpha", "1", "--beta", "1e308", "--mu", "0.5", "--x0", "1",
           "--y0", "10", "--divergence-threshold", "inf", "--svg", "{tmp}/o.svg"]),
+        # x* cells whose denominator is normal, below 2**-960 (1e-300 with
+        # 1e-300) and inf (1.6e308 with 1e308): the last two take the
+        # rescaling scalar path inside the array kernel
+        (SWEEP_X_STAR_KINDS,
+         ["sweep", "--axis1", "alpha:1e-300:1.6e308:8e307",
+          "--axis2", "beta:1e-300:1e308:5e307", "--quantity", "x_star", "--output", "-"]),
+        # both samples are finite, but their span overflows
+        ("simulate svg whose value span overflows",
+         ["simulate", "--alpha", "1", "--beta", "1e-10", "--mu", "0.5", "--d1", "1",
+          "--x0", "1e154", "--y0", "1.7e308", "--svg", "{tmp}/o.svg"]),
     ]
+
+
+SWEEP_X_STAR_KINDS = "sweep x_star with normal, tiny and overflowing denominators"
 
 
 # One-row, one-column and one-cell grids, each for a float quantity and a

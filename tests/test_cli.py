@@ -383,6 +383,29 @@ class TestSimulate:
         assert not re.search(r"nan|inf", text, re.IGNORECASE)
         assert re.findall(r'points="([^"]*)"', text) == ["64.00,373.20", "64.00,42.00"]
 
+    @pytest.mark.parametrize("x0, y0, points, labels", [
+        ("1e154", "1.7e308", ["64.00,273.70 702.00,410.00", "64.00,42.00 702.00,157.85"],
+         ("-1e+308", "1.7e+308")),
+        # scaled, the top tick rounds up to 1.0, whose unscaled value overflows
+        ("1e153", "1.7976931348623157e308",
+         ["64.00,407.96 702.00,410.00", "64.00,42.00 702.00,224.98"],
+         ("-1e+306", "1.79769e+308")),
+    ])
+    def test_svg_of_finite_samples_whose_span_overflows(self, capsys, tmp_path,
+                                                       x0, y0, points, labels):
+        # both samples are finite, but the span between them is not: values
+        # and ticks are scaled by one power of two, labels are not
+        path = tmp_path / "traj.svg"
+        code, _, _ = run(capsys, ["simulate", "--alpha", "1", "--beta", "1e-10",
+                                  "--mu", "0.5", "--d1", "1", "--x0", x0, "--y0", y0,
+                                  "--svg", str(path)])
+        assert code == 0
+        text = path.read_text()
+        assert not re.search(r"nan|inf", text, re.IGNORECASE)
+        assert re.findall(r'points="([^"]*)"', text) == points
+        ticks = re.findall(r'text-anchor="end">([^<]*)<', text)
+        assert (ticks[0], ticks[-1]) == labels
+
     def test_unwritable_output_exit_3(self, capsys):
         code, _, err = run(capsys, ["simulate", *EX3, "--x0", "1", "--y0", "1",
                                     "--csv", "/nonexistent-dir/x.csv"])

@@ -489,17 +489,17 @@ class TestOrbit:
 
 class TestLocalLimit:
     def test_subthreshold_prediction_is_extinction(self):
-        assert local_limit(validate(0.4, 0.3, 0.5, 0.2, 0.0)) == (0.0, 0.0)
+        assert local_limit(validate(0.4, 0.3, 0.5, 0.2, 0.0), (1.0, 1.0)) == (0.0, 0.0)
 
     def test_above_threshold_prediction_is_the_positive_point(self):
-        got = local_limit(validate(0.5, 1.5, 0.5, 0.25, 0.0))
+        got = local_limit(validate(0.5, 1.5, 0.5, 0.25, 0.0), (1.0, 1.0))
         assert got == (3.0, 0.75)
 
     def test_threshold_equality_goes_to_extinction(self):
-        assert local_limit(validate(0.5, 2.0, 1.0, 0.5, 0.0)) == (0.0, 0.0)
+        assert local_limit(validate(0.5, 2.0, 1.0, 0.5, 0.0), (1.0, 1.0)) == (0.0, 0.0)
 
     def test_no_linear_death_grows_without_bound(self):
-        got = local_limit(validate(0.5, 1.5, 0.5, 0.0, 0.0))
+        got = local_limit(validate(0.5, 1.5, 0.5, 0.0, 0.0), (1.0, 1.0))
         assert got.x == math.inf
         assert got.y == pytest.approx(1.0, abs=1e-15)
 
@@ -507,19 +507,41 @@ class TestLocalLimit:
         p = validate(0.5, 1.5, 0.5, 0.25, 0.0)
         res = orbit(p, (3.01, 0.76))
         assert res.verdict is OrbitVerdict.CONVERGED
-        assert res.limit == local_limit(p)
+        assert res.limit == local_limit(p, (3.01, 0.76))
+
+    def test_psi_limit_is_the_continuum_point_on_the_start_line(self):
+        # x + y is conserved on psi: from (1, 1) the orbit converges to the
+        # point of x + gamma(x) = 2, not to the origin
+        p = validate(0.5, 0.7, 0.7, 0.0, 0.0)
+        got = local_limit(p, (1.0, 1.0))
+        assert got.x + got.y == pytest.approx(2.0, rel=1e-15)
+        assert got.y == gamma(p, got.x)
+        assert got.x == pytest.approx(1.5642677672, rel=1e-10)
+        assert local_limit(p, (0.0, 0.0)) == (0.0, 0.0)
+
+    def test_psi_orbits_end_at_the_predicted_point(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            alpha, beta = rng.uniform(0.05, 1.0, 2).tolist()
+            p = validate(alpha, beta, beta, 0.0, 0.0)
+            z0 = tuple((10.0 ** rng.uniform(-3, 3, 2)).tolist())
+            res = orbit(p, z0)
+            want = local_limit(p, z0)
+            assert res.verdict is OrbitVerdict.CONVERGED, (p, z0)
+            assert res.limit.x == pytest.approx(want.x, rel=1e-6), (p, z0)
+            assert res.limit.y == pytest.approx(want.y, rel=1e-6), (p, z0)
 
     def test_requires_the_contraction_conditions(self):
         with pytest.raises(ConditionViolation):
-            local_limit(EX1)  # alpha too large
+            local_limit(EX1, (1.0, 1.0))  # alpha too large
         with pytest.raises(ConditionViolation):
-            local_limit(validate(0.4, 0.3, 1.5, 0.2, 0.0))  # mu too large
+            local_limit(validate(0.4, 0.3, 1.5, 0.2, 0.0), (1.0, 1.0))  # mu too large
 
     def test_both_regime_checks_state_one_condition(self):
         # local_limit and declared_type_table raise the one params class,
         # whose message spells the inequalities once
         messages = []
-        for needs_the_regime in (local_limit, declared_type_table):
+        for needs_the_regime in (lambda p: local_limit(p, (1.0, 1.0)), declared_type_table):
             with pytest.raises(ConditionViolation) as exc:
                 needs_the_regime(EX1)
             messages.append(str(exc.value))

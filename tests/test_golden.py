@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).with_name("golden")
 sys.path.insert(0, str(GOLDEN))
 from capture_golden import (  # noqa: E402
     SWEEP_RADIUS_BRANCHES,
+    SWEEP_X_STAR_KINDS,
     numpy_dependent,
     run_cli,
 )
@@ -110,3 +111,17 @@ def test_radius_branch_grids_reach_their_branch(name, reaches):
     discriminants = _origin_discriminants(SWEEP_RADIUS_BRANCHES[name])
     assert any(reaches(d) for d in discriminants)
     assert name in {e["name"] for e in ENTRIES}
+
+
+def test_x_star_grid_reaches_each_kind_of_denominator():
+    # hypot(alpha/2, beta) + alpha/2 per cell: normal, below 2**-960, and inf
+    (entry,) = [e for e in ENTRIES if e["name"] == SWEEP_X_STAR_KINDS]
+    opts = dict(zip(entry["argv"][1::2], entry["argv"][2::2]))
+    (_, lo1, step1, n1), (_, lo2, step2, n2) = (
+        _parse_axis(opts[axis]) for axis in ("--axis1", "--axis2"))
+    kinds = set()
+    for i, j in itertools.product(range(n1), range(n2)):
+        half, beta = 0.5 * (lo1 + i * step1), lo2 + j * step2
+        den = math.hypot(half, beta) + half
+        kinds.add("inf" if den == math.inf else "tiny" if den < 2.0**-960 else "normal")
+    assert kinds == {"normal", "tiny", "inf"}

@@ -26,6 +26,8 @@ from mospop.simplex import (
     UPointType,
     analyze,
     fixed_point_u,
+    fixed_point_u_array,
+    fixed_point_u_of,
     period2_set,
     simplex_invariant,
     u_derivative,
@@ -232,6 +234,62 @@ class TestFixedPointAndStability:
         rng = np.random.default_rng(83)
         for alpha, beta in sample_invariance_pairs(300, rng):
             assert analyze(SimplexParams(alpha, beta)).stability is not UPointType.REPELLING
+
+
+def _ulps_apart(got: float, want: float) -> float:
+    return abs(got - want) / math.ulp(want)
+
+
+class TestFixedPointArray:
+    """fixed_point_u_array against the scalar fixed_point_u_of."""
+
+    def test_cells_within_four_ulps_of_the_scalar(self):
+        rng = np.random.default_rng(29)
+        alpha, beta = 10.0 ** rng.uniform(-300, 300, (2, 200_000))
+        got = fixed_point_u_array(alpha, beta)
+        assert got.shape == alpha.shape
+        for a, b, x in zip(alpha.tolist(), beta.tolist(), got.tolist()):
+            assert _ulps_apart(x, fixed_point_u_of(a, b)) <= 4, (a, b)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        # rates near 1e-300 and subnormal: the denominator falls below 2**-960
+        (np.array([1e-300, 3e-300, 2e-315])[:, None], np.array([1e-300, 2.5e-300, 7e-321])),
+        # near the largest double: hypot(alpha/2, beta) + alpha/2 overflows
+        (np.array([1.7e308, MAX, 1.5e308])[:, None], np.array([1e308, 1.5e308, 8e307])),
+    ], ids=["below 2**-960", "overflowing"])
+    def test_rescaled_cells_are_the_scalar_bit_for_bit(self, alpha, beta):
+        with np.errstate(over="ignore"):
+            den = np.hypot(0.5 * alpha, beta) + 0.5 * alpha
+        assert not ((2.0**-960 <= den) & (den < math.inf)).any()
+        got = fixed_point_u_array(alpha, beta)
+        assert got.shape == (3, 3)
+        for i, a in enumerate(alpha[:, 0].tolist()):
+            for j, b in enumerate(beta.tolist()):
+                assert float(got[i, j]).hex() == fixed_point_u_of(a, b).hex()
+
+    def test_a_scalar_broadcasts_against_an_array(self):
+        beta = np.array([0.25, 0.5, 1.0, 1e-300])
+        got = fixed_point_u_array(2.0, beta)
+        assert got.shape == (4,)
+        assert all(_ulps_apart(x, fixed_point_u_of(2.0, b)) <= 4
+                   for x, b in zip(got.tolist(), beta.tolist()))
+        assert fixed_point_u_array(2.0, 1.0).shape == ()
+        assert float(fixed_point_u_array(2.0, 1.0)) == pytest.approx(math.sqrt(2) - 1, rel=1e-15)
+
+    def test_within_four_ulps_of_the_textbook_root_in_decimal(self):
+        # (sqrt(alpha**2 + 4*beta**2) - alpha)/(2*beta) cancels about
+        # 2*log10(alpha/beta) digits, so the context carries those on top
+        # of 50
+        rng = np.random.default_rng(31)
+        alpha, beta = 10.0 ** rng.uniform(-300, 300, (2, 3_000))
+        got = fixed_point_u_array(alpha, beta).tolist()
+        for a, b, x in zip(alpha.tolist(), beta.tolist(), got):
+            da, db = Decimal(a), Decimal(b)
+            with localcontext() as ctx:
+                ctx.prec = 50 + 2 * max(0, da.adjusted() - db.adjusted())
+                exact = ((da * da + 4 * db * db).sqrt() - da) / (2 * db)
+            want = float(exact)
+            assert abs(Decimal(x) - exact) <= 4 * Decimal(math.ulp(want)), (a, b)
 
 
 class TestShape:
