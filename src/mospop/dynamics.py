@@ -13,8 +13,8 @@ from collections.abc import Sequence
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .fixed_points import (FixedPointKind, State, fixed_point_locations, gamma, phi1_point,
-                           quad_roots)
+from .fixed_points import (ClosedFormOverflow, FixedPointKind, State, fixed_point_locations,
+                           gamma, phi1_point, quad_roots)
 from .params import (ConditionViolation, Params, birth_threshold, preserves_quadrant,
                      primary_region)
 
@@ -272,8 +272,9 @@ def local_limit(p: Params, z0) -> State:
 
     On psi (d0 = d1 = 0, beta = mu) the step conserves x + y, and the limit
     is the continuum point (x, gamma(x)) on the start's line,
-    x + gamma(x) = x0 + y0: the largest root of
-    x**2 + (1 + alpha/mu - s)*x - s = 0 for s = x0 + y0.
+    x + gamma(x) = x0 + y0, the root above -1 of
+    mu*x**2 + (mu + alpha - t)*x - t = 0 for t = mu*(x0 + y0).  Raises
+    fixed_points.ClosedFormOverflow where that point leaves the double range.
 
     Otherwise z0 is not read.  Returns (0, 0) when beta <= mu*(1 + d0/alpha).
     Above that threshold with d0 > 0 the limit is the positive fixed point
@@ -290,9 +291,13 @@ def local_limit(p: Params, z0) -> State:
     if not preserves_quadrant(p):
         raise ConditionViolation("local limit prediction")
     if primary_region(p) == "psi":
-        s = z0[0] + z0[1]
-        x = quad_roots(1.0, 1.0 + p.alpha / p.mu - s, -s)[0].real
-        return State(x, gamma(p, x))
+        # (1 + x)*mu*(x + gamma(x) - s) = 0 for t = mu*s: finite coefficients
+        # whenever t is, and a root > -1 exactly when it fits the double range
+        t = p.mu * z0[0] + p.mu * z0[1]
+        roots = quad_roots(p.mu, p.mu + p.alpha - t, -t) if math.isfinite(t) else ()
+        if not (roots and roots[0].real > -1.0):
+            raise ClosedFormOverflow("psi continuum point x + gamma(x) = x0 + y0 overflows")
+        return State(roots[0].real, gamma(p, roots[0].real))
     if p.beta <= birth_threshold(p):
         return State(0.0, 0.0)
     if p.d0 == 0.0:

@@ -7,7 +7,8 @@ import pytest
 
 from mospop import dynamics
 from mospop.dynamics import OrbitVerdict, Samples, local_limit, orbit
-from mospop.fixed_points import State, find_fixed_points, fixed_point_locations, gamma, step
+from mospop.fixed_points import (ClosedFormOverflow, State, find_fixed_points,
+                                 fixed_point_locations, gamma, step)
 from mospop.oracles import sample_region
 from mospop.params import ConditionViolation, validate
 from mospop.stability import FixedPointType, classify_fixed_point, declared_type_table
@@ -518,6 +519,22 @@ class TestLocalLimit:
         assert got.y == gamma(p, got.x)
         assert got.x == pytest.approx(1.5642677672, rel=1e-10)
         assert local_limit(p, (0.0, 0.0)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("rates, z0", [
+        ((1.0, 1e-320, 1e-320, 0.0, 0.0), (1.0, 1.0)),   # alpha/mu overflows
+        ((1.0, 1e-308, 1e-308, 0.0, 0.0), (1e308, 1e308)),  # x0 + y0 overflows
+        ((0.5, 0.5, 0.5, 0.0, 0.0), (1e308, 7e307)),
+        ((0.5, 0.7, 0.7, 0.0, 0.0), (-0.5, 0.2)),  # left of the origin
+    ])
+    def test_psi_limit_at_extreme_scales(self, rates, z0):
+        p = validate(*rates)
+        got = local_limit(p, z0)
+        assert got.x > -1.0 and got.y == gamma(p, got.x)
+        assert got.x / 2 + got.y / 2 == pytest.approx(z0[0] / 2 + z0[1] / 2, rel=1e-15)
+
+    def test_psi_limit_beyond_the_double_range_raises(self):
+        with pytest.raises(ClosedFormOverflow, match="psi continuum point"):
+            local_limit(validate(0.5, 0.7, 0.7, 0.0, 0.0), (1e308, 1e308))
 
     def test_psi_orbits_end_at_the_predicted_point(self):
         rng = np.random.default_rng(17)
