@@ -560,9 +560,9 @@ def _parse_axis(spec: str) -> tuple[str, float, float, int]:
 _COUNT_BY_REGION = ("1", "2", "2", "inf")
 
 
-def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list:
-    """Cells in row-major order: floats, or strings for region and
-    fixed_point_count.
+def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]):
+    """Floats in row-major order; for region and fixed_point_count, the
+    label tuple and the shape array of each cell's index into it.
 
     grid maps each rate to a float or to an array broadcasting to shape.
     Every quantity is evaluated once over the whole grid; a cell that
@@ -580,9 +580,9 @@ def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]) -> list:
         return flat(simplex.fixed_point_u_array(grid["alpha"], grid["beta"]))
     alpha, beta, mu, d0, d1 = (grid[name] for name in params.RATES)
     if quantity in ("region", "fixed_point_count"):
-        names = params.PRIMARY_REGIONS if quantity == "region" else _COUNT_BY_REGION
-        index = params.primary_region_index(alpha, beta, mu, d0, d1)
-        return flat(np.array(names, dtype=object)[index])
+        labels = params.PRIMARY_REGIONS if quantity == "region" else _COUNT_BY_REGION
+        return labels, np.broadcast_to(params.primary_region_index(alpha, beta, mu, d0, d1),
+                                       shape)
     if quantity == "r0":
         return flat(params.offspring_number_of(alpha, beta, mu, d0))
     if quantity == "spectral_radius_at_origin":
@@ -644,24 +644,35 @@ def cmd_sweep(args) -> int:
     with np.errstate(all="ignore"):
         cells = _sweep_cells(args.quantity, grid, shape)
 
-    # One % per grid row: the template holds the column values, and the
-    # row's value is joined in before each line ("%.12g" % v is fmt(v)).
-    strings = isinstance(cells[0], str)
-    pieces = [f",{fmt(v)},%{'s' if strings else NUMBER_FORMAT}\n" for v in vals2]
-    text = f"{name1},{name2},{args.quantity}\n" + "".join([
-        (head + head.join(pieces)) % tuple(cells[i * n2:(i + 1) * n2])
-        for i, head in enumerate(map(fmt, vals1))])
+    # Each line is the row's value joined to a tail ",column value,cell\n".
+    # A label cell picks one of the tails built per column and label; float
+    # cells fill one template per row with one % ("%.12g" % v is fmt(v)).
+    heads = map(fmt, vals1)
+    labelled = isinstance(cells, tuple)
+    if labelled:
+        labels, index = cells
+        tails = np.array([[f",{v},{label}\n" for label in labels] for v in map(fmt, vals2)],
+                         dtype=object)
+        rows = [head + head.join(row)
+                for head, row in zip(heads, tails[np.arange(n2), index].tolist())]
+    else:
+        pieces = [f",{fmt(v)},%{NUMBER_FORMAT}\n" for v in vals2]
+        rows = [(head + head.join(pieces)) % tuple(cells[i * n2:(i + 1) * n2])
+                for i, head in enumerate(heads)]
+    text = f"{name1},{name2},{args.quantity}\n" + "".join(rows)
     if args.output == "-":
         sys.stdout.write(text)
         return 0
     _write(args.output, text)
     payload = {"axis1": name1, "axis2": name2, "quantity": args.quantity,
-               "cells": len(cells), "output": args.output}
+               "cells": n1 * n2, "output": args.output}
     if args.json:
         # the cells print as strings, as in the CSV
-        payload["rows"] = [[v1, v2, c if strings else fmt(c)] for (v1, v2), c
-                           in zip(itertools.product(vals1, vals2), cells)]
-    _emit(args, payload, [f"wrote {len(cells)} cells: {args.output}"])
+        strings = ([labels[k] for k in index.ravel().tolist()] if labelled
+                   else [fmt(c) for c in cells])
+        payload["rows"] = [[v1, v2, c] for (v1, v2), c
+                           in zip(itertools.product(vals1, vals2), strings)]
+    _emit(args, payload, [f"wrote {n1 * n2} cells: {args.output}"])
     return 0
 
 
@@ -793,11 +804,12 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         "mosquito population map.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    # an unreached subparser keeps its name and help, so help reads the same
+    # an unreached subparser keeps its name and help, so help reads the same,
+    # but is never parsed, so it gets no options, not even -h
     unreached = argparse.Namespace(add_argument=lambda *args, **kwargs: None)
 
     def sub(name: str, summary: str, func) -> argparse.ArgumentParser:
-        s = subs.add_parser(name, help=summary)
+        s = subs.add_parser(name, help=summary, add_help=command in (None, name))
         s.set_defaults(func=func)
         return s if command in (None, name) else unreached
 

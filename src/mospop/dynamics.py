@@ -276,8 +276,10 @@ def local_limit(p: Params, z0) -> State:
     mu*x**2 + (mu + alpha - t)*x - t = 0 for t = mu*(x0 + y0).  Raises
     fixed_points.ClosedFormOverflow where that point leaves the double range.
 
-    Otherwise z0 is not read.  Returns (0, 0) when beta <= mu*(1 + d0/alpha).
-    Above that threshold with d0 > 0 the limit is the positive fixed point
+    The map fixes the origin, so from z0 = (0, 0) the limit is (0, 0) on
+    every branch.  Off psi every other z0 gets one prediction: (0, 0) when
+    beta <= mu*(1 + d0/alpha), and above that threshold with d0 > 0 the
+    positive fixed point
 
         x* = alpha*(beta - mu)/(mu*d0) - 1,   y* = alpha*x*/(mu*(1 + x*)).
 
@@ -298,7 +300,7 @@ def local_limit(p: Params, z0) -> State:
         if not (roots and roots[0].real > -1.0):
             raise ClosedFormOverflow("psi continuum point x + gamma(x) = x0 + y0 overflows")
         return State(roots[0].real, gamma(p, roots[0].real))
-    if p.beta <= birth_threshold(p):
+    if p.beta <= birth_threshold(p) or z0[0] == z0[1] == 0.0:
         return State(0.0, 0.0)
     if p.d0 == 0.0:
         return State(math.inf, p.alpha / p.mu)

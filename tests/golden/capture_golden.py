@@ -368,6 +368,11 @@ def appended() -> list[tuple[str, list[str]]]:
         ("simulate svg whose value span overflows",
          ["simulate", "--alpha", "1", "--beta", "1e-10", "--mu", "0.5", "--d1", "1",
           "--x0", "1e154", "--y0", "1.7e308", "--svg", "{tmp}/o.svg"]),
+        # a label sweep to a file: the CSV and the JSON rows hold the labels
+        ("sweep region to file --json",
+         ["sweep", "--axis1", "beta:0.5:1.5:0.5", "--axis2", "d0:0:0.25:0.25",
+          "--quantity", "region", "--alpha", "1", "--mu", "1",
+          "--output", "{tmp}/regions.csv", "--json"]),
     ]
 
 

@@ -325,6 +325,22 @@ class TestParserForOneCommand:
         argv = [command, *REQUIRED[command]]
         assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
 
+    def test_usage_errors_match_the_full_parser(self, capsys, command):
+        required = REQUIRED[command]
+        bad = [[command, *required, "--no-such-option", "1"]]
+        if required:  # the first required flag left out
+            bad.append([command, *required[2:]])
+        if command == "sweep":
+            bad.append([command, *required[:4], "--quantity", "radius", "--output", "-"])
+        for argv in bad:
+            got = []
+            for parser in (build_parser(command), build_parser()):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                got.append((exc.value.code, capsys.readouterr().err))
+            assert got[0] == got[1], argv
+            assert got[0][0] == 2 and "error: " in got[0][1], argv
+
 
 class TestSimulate:
     def test_convergent_run(self, capsys):
@@ -571,6 +587,21 @@ class TestSweep:
         assert len(d["rows"]) == 4
         assert d["rows"][0][:2] == [1.0, 0.5]
 
+    @pytest.mark.parametrize("quantity", ["region", "fixed_point_count"])
+    def test_json_rows_hold_the_labels(self, capsys, tmp_path, quantity):
+        path = tmp_path / "grid.csv"
+        d = run_json(capsys, ["sweep", "--axis1", "beta:0.5:1.5:0.5",
+                              "--axis2", "d0:0:0.25:0.25", "--quantity", quantity,
+                              "--alpha", "1", "--mu", "1", "--output", str(path)])
+        assert d["cells"] == 3 * 2
+        assert d["rows"] == [
+            [beta, d0, self._scalar_cell(quantity, {"alpha": 1.0, "beta": beta, "mu": 1.0,
+                                                    "d0": d0, "d1": 0.0})]
+            for beta in (0.5, 1.0, 1.5) for d0 in (0.0, 0.25)]
+        assert len({row[2] for row in d["rows"]}) == 3
+        body = path.read_text().split("\n")[1:-1]
+        assert [line.split(",")[2] for line in body] == [row[2] for row in d["rows"]]
+
     def test_region_quantity(self, capsys):
         code, out, _ = run(capsys, ["sweep", "--axis1", "beta:0.5:1.5:0.5",
                                     "--axis2", "d0:0:0.25:0.25",
@@ -684,6 +715,10 @@ class TestSweep:
          {"alpha": 2e-9, "beta": 5e-9, "d1": 0.0}),
         # (alpha + d0)*mu underflows to 0 here; r0 is still 1e200 or 5e199
         ("alpha:1e-200:2e-200:1e-200", "mu:1e-200:2e-200:1e-200", {"beta": 1.0}),
+        # one row, one column and one cell
+        ("beta:1:1:1", "mu:0.25:2:0.25", {"alpha": 1.5}),
+        ("d1:0:1:0.25", "mu:1:1:1", {"alpha": 1.5, "beta": 2.0}),
+        ("beta:1:1:1", "mu:1:1:1", {"alpha": 1.5}),
     ]
 
     @staticmethod

@@ -548,6 +548,18 @@ class TestLocalLimit:
             assert res.limit.x == pytest.approx(want.x, rel=1e-6), (p, z0)
             assert res.limit.y == pytest.approx(want.y, rel=1e-6), (p, z0)
 
+    def test_origin_start_stays_at_the_origin(self):
+        # the map fixes the origin, whatever the rates predict elsewhere:
+        # above threshold with d0 > 0 and with d0 = 0, below it, and on psi
+        rng = np.random.default_rng(31)
+        draws = [p for region in ("theta_star_theta1", "phi_star", "psi_star")
+                 for p in sample_region(region, 40, rng)]
+        for _ in range(40):
+            alpha, mu = rng.uniform(0.05, 1.0, 2).tolist()
+            draws.append(validate(alpha, mu * float(rng.uniform(1.001, 4.0)), mu, 0.0, 0.0))
+        for p in draws:
+            assert local_limit(p, (0.0, 0.0)) == orbit(p, (0.0, 0.0)).limit == (0.0, 0.0), p
+
     def test_requires_the_contraction_conditions(self):
         with pytest.raises(ConditionViolation):
             local_limit(EX1, (1.0, 1.0))  # alpha too large
