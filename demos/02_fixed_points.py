@@ -5,15 +5,15 @@ Run:  python3 demos/02_fixed_points.py
 
 import math
 
-from mospop import find_fixed_points, gamma, step, validate
+from mospop import discriminant, find_fixed_points, gamma, step, validate
 
 
 def show(title, p):
     fps = find_fixed_points(p)
     print(f"\n{title}")
     print(f"  kind: {fps.kind.value}")
-    if fps.quad_discriminant is not None:
-        print(f"  quadratic discriminant: {fps.quad_discriminant:.12g}")
+    if p.d1 != 0.0:
+        print(f"  quadratic discriminant: {discriminant(p):.12g}")
     for pt in fps.points:
         x, y = pt.location
         nx, ny = step(p, pt.location)

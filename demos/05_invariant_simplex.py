@@ -7,6 +7,7 @@ Run:  python3 demos/05_invariant_simplex.py
 """
 
 from mospop import (
+    SimplexClass,
     SimplexParams,
     analyze,
     fixed_point_u,
@@ -19,7 +20,7 @@ from mospop import (
 def report(sp):
     a = analyze(sp)
     print(f"\nalpha={sp.alpha}, beta={sp.beta}")
-    print(f"  invariant: {a.invariance.invariant} "
+    print(f"  invariant: {a.invariance.region is not SimplexClass.NONE} "
           f"(region {a.invariance.region.value})")
     if a.invariance.witness is not None:
         print(f"  escape witness: U({a.invariance.witness:.6g}) = "
@@ -27,7 +28,7 @@ def report(sp):
         return
     print(f"  fixed point x* = {a.x_star:.12g}, U'(x*) = {a.u_prime_at_star:.12g} "
           f"({a.stability.value})")
-    print(f"  shape: {a.shape_class.value} ({a.monotonic_shape.value})"
+    print(f"  shape: {a.shape_class.value}"
           + (f", minimum at {a.x_min:.6g}" if a.x_min is not None else ""))
     print(f"  period-2 set: {a.period2.kind.value}")
 
@@ -60,5 +61,6 @@ print("\nconvergence from a few starts (alpha=1, beta=1):")
 sp = SimplexParams(1.0, 1.0)
 for x0 in (0.0, 0.5, 0.99):
     ob = u_orbit_limit(sp, x0)
-    print(f"  x0={x0:<5} -> {ob.limit:.12g} in {ob.iterations_used} steps "
-          f"(observed rate ~{ob.rate_estimate:.3f})")
+    print(f"  x0={x0:<5} -> {ob.limit:.12g} in {ob.iterations_used} steps")
+print(f"each step shrinks the distance to x* by about |U'(x*)| = "
+      f"{abs(analyze(sp).u_prime_at_star):.3f}")

@@ -35,7 +35,7 @@ _EXPORTS = {
                "SimplexClass", "basic_offspring_number", "birth_threshold",
                "classify", "in_invariance_region", "preserves_quadrant",
                "primary_region", "shape_class", "validate"),
-    "simplex": ("OutsideInvariantRegion", "Period2Kind", "Period2Set", "ShapeKind",
+    "simplex": ("OutsideInvariantRegion", "Period2Kind", "Period2Set",
                 "SimplexAnalysis", "SimplexParams", "UOrbitKind",
                 "UOrbitNotConverged", "UPointType", "analyze", "fixed_point_u",
                 "period2_set", "simplex_invariant", "u_derivative", "u_map",

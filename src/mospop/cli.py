@@ -165,8 +165,8 @@ def cmd_fixed_points(args) -> int:
         "kind": fps.kind.value,
         "points": [_point_payload(r) for r in fps.points],
     }
-    if fps.quad_discriminant is not None:
-        payload["discriminant"] = fps.quad_discriminant
+    if p.d1 != 0.0:
+        payload["discriminant"] = fixed_points.discriminant(p)
     if fps.kind is fixed_points.FixedPointKind.CONTINUUM:
         payload["curve"] = "y = alpha*x/(mu*(1+x)) for all x >= 0"
         payload["sample_grid"] = [r.location.x for r in fps.points]
@@ -230,13 +230,14 @@ def _stability_payload(p: params.Params, z, tol: float, want_verify: bool) -> di
     report = stability.classify_fixed_point(p, z, tol=tol)
     lam1, lam2 = report.eigenvalues
     j00, j01, j10, j11 = report.jacobian_entries
+    x, y = float(z[0]), float(z[1])
     payload = {
-        "location": {"x": float(z[0]), "y": float(z[1])},
+        "location": {"x": x, "y": y},
         "jacobian": [[j00, j01], [j10, j11]],
         "eigenvalues": [lam1, lam2],
         "moduli": [abs(lam1), abs(lam2)],
-        "g": report.g_value,
-        "f": report.f_value,
+        "g": stability.g_value(p, x),
+        "f": stability.f_value(p, x),
         "type": report.type.value,
     }
     if want_verify:
@@ -441,17 +442,19 @@ def cmd_simplex(args) -> int:
     sp = simplex.SimplexParams(args.alpha, args.beta)
     report = simplex.analyze(sp)
     inv = report.invariance
+    invariant = inv.region is not params.SimplexClass.NONE
+    shape = _SHAPE_BY_CLASS.get(report.shape_class.value, "none")
     roots = report.period2.roots
     payload: dict = {
         "alpha": sp.alpha,
         "beta": sp.beta,
-        "invariant": inv.invariant,
+        "invariant": invariant,
         "invariance_region": inv.region.value,
         "x_star": report.x_star,
         "u_prime_at_star": report.u_prime_at_star,
         "stability": report.stability.value,
         "shape_class": report.shape_class.value,
-        "monotonic_shape": report.monotonic_shape.value,
+        "monotonic_shape": shape,
         "period2": {
             "kind": report.period2.kind.value,
             "roots": roots,
@@ -459,11 +462,10 @@ def cmd_simplex(args) -> int:
         },
     }
     human = [
-        f"invariant: {inv.invariant} (region {inv.region.value})",
+        f"invariant: {invariant} (region {inv.region.value})",
         f"x*: {fmt(report.x_star)}  U'(x*): {fmt(report.u_prime_at_star)}"
         f"  [{report.stability.value}]",
-        f"shape class: {report.shape_class.value} "
-        f"({report.monotonic_shape.value})",
+        f"shape class: {report.shape_class.value} ({shape})",
         f"period-2 set: {report.period2.kind.value}"
         + ("  roots: " + ", ".join(fmt(r) for r in roots) if roots else ""),
     ]
@@ -558,6 +560,10 @@ def _parse_axis(spec: str) -> tuple[str, float, float, int]:
 
 # what find_fixed_points returns on each of PRIMARY_REGIONS, as a count
 _COUNT_BY_REGION = ("1", "2", "2", "inf")
+# the monotonicity of U on [0, 1] in each shape class that `simplex` prints;
+# "none" outside the invariance region
+_SHAPE_BY_CLASS = {"C": "increasing", "D": "decreasing", "E*": "valley_left",
+                   "F*": "valley_right"}
 
 
 def _sweep_cells(quantity: str, grid: dict, shape: tuple[int, int]):

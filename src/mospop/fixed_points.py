@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .params import Params, primary_region
 
@@ -246,13 +246,10 @@ class FixedPointSet(NamedTuple):
     For the continuum kind, points holds samples along the curve
     x -> (x, gamma(x)), in the order of find_fixed_points' sample_grid;
     otherwise points is the full list.
-    quad_discriminant is reported whenever d1 != 0, even when the
-    quadratic contributes no nonnegative root.
     """
 
     kind: FixedPointKind
     points: tuple[FixedPointReport, ...]
-    quad_discriminant: Optional[float] = None
 
 
 def _residual(p: Params, x: float, y: float) -> float:
@@ -313,5 +310,4 @@ def find_fixed_points(
         kind=kind,
         points=tuple([FixedPointReport(State(x, y), tag, _residual(p, x, y))
                       for x, y, tag in locations]),
-        quad_discriminant=discriminant(p) if p.d1 != 0.0 else None,
     )

@@ -190,6 +190,11 @@ class SimplexClass(Enum):
     NONE = "none"
 
 
+def _simplex_alpha_bound(beta: float) -> float:
+    """Largest alpha of the simplex invariance region at beta in (0, 1]."""
+    return 1.0 + 2.0 * math.sqrt(beta * (1.0 - beta)) if beta < 0.5 else 2.0
+
+
 def in_invariance_region(alpha: float, beta: float) -> SimplexClass:
     """Membership of (alpha, beta) in the simplex invariance region.
 
@@ -197,15 +202,9 @@ def in_invariance_region(alpha: float, beta: float) -> SimplexClass:
     A: beta in (0, 1/2), alpha in (0, 1 + 2*sqrt(beta*(1-beta))].
     B: beta in [1/2, 1], alpha in (0, 2].
     """
-    if not (alpha > 0 and 0 < beta <= 1):
+    if not (alpha > 0 and 0 < beta <= 1 and alpha <= _simplex_alpha_bound(beta)):
         return SimplexClass.NONE
-    if beta < 0.5:
-        if alpha <= 1.0 + 2.0 * math.sqrt(beta * (1.0 - beta)):
-            return SimplexClass.A
-        return SimplexClass.NONE
-    if alpha <= 2.0:
-        return SimplexClass.B
-    return SimplexClass.NONE
+    return SimplexClass.A if beta < 0.5 else SimplexClass.B
 
 
 def shape_class(alpha: float, beta: float) -> SimplexClass:
@@ -342,11 +341,8 @@ def boundary_report(p: Params, eps: float) -> list[str]:
         ("mu+d0+alpha vs 2", abs(p.mu + p.d0 + p.alpha - 2.0)),
     ]
     if 0 < p.beta <= 1:
-        if p.beta < 0.5:
-            bound = 1.0 + 2.0 * math.sqrt(p.beta * (1.0 - p.beta))
-            checks.append(("alpha vs simplex bound 1+2*sqrt(beta*(1-beta))",
-                           abs(p.alpha - bound)))
-        else:
-            checks.append(("alpha vs simplex bound 2", abs(p.alpha - 2.0)))
+        bound = "1+2*sqrt(beta*(1-beta))" if p.beta < 0.5 else "2"
+        checks.append((f"alpha vs simplex bound {bound}",
+                       abs(p.alpha - _simplex_alpha_bound(p.beta))))
         checks.append(("beta vs 1/2 (simplex bound switch)", abs(p.beta - 0.5)))
     return [name for name, gap in checks if gap <= eps]

@@ -50,7 +50,6 @@ __all__ = [
     "OutsideInvariantRegion",
     "Period2Kind",
     "Period2Set",
-    "ShapeKind",
     "SimplexAnalysis",
     "SimplexParams",
     "UOrbit",
@@ -71,6 +70,8 @@ __all__ = [
 
 BOUNDARY_BAND = 1e-12
 PERIOD2_TOL = 1e-10
+U_ORBIT_TOL = 1e-12
+U_ORBIT_MAX_ITER = 100_000
 
 
 class OutsideInvariantRegion(ValueError):
@@ -78,7 +79,7 @@ class OutsideInvariantRegion(ValueError):
 
 
 class UOrbitNotConverged(ValueError):
-    """The U orbit did not come within tol of x* in max_iter steps."""
+    """The U orbit did not come within U_ORBIT_TOL of x* in U_ORBIT_MAX_ITER steps."""
 
 
 class _SimplexRates(NamedTuple):
@@ -120,11 +121,13 @@ class InvarianceCheck(NamedTuple):
     """Does U map [0, 1] into itself, and if not, where does it leave?
 
     region is SimplexClass.A or .B on success, .NONE on failure.  On
-    failure witness is a point of [0, 1] with witness_image = U(witness)
-    outside [0, 1].
+    failure witness is a point of [0, 1] and witness_image = U(witness) as
+    computed.  The image lies outside [0, 1] except where alpha sits a few
+    ulps above region A's rounded bound 1 + 2*sqrt(beta*(1 - beta)): there
+    the rounded region test and the rounded image can disagree, and the
+    image may lie inside [0, 1].
     """
 
-    invariant: bool
     region: SimplexClass
     witness: Optional[float] = None
     witness_image: Optional[float] = None
@@ -139,24 +142,21 @@ def simplex_invariant(sp: SimplexParams) -> InvarianceCheck:
     """
     region = in_invariance_region(sp.alpha, sp.beta)
     if region is not SimplexClass.NONE:
-        return InvarianceCheck(invariant=True, region=region)
+        return InvarianceCheck(region=region)
 
     if sp.beta > 1.0:
         return InvarianceCheck(
-            invariant=False, region=region,
-            witness=0.0, witness_image=float(u_map(sp, 0.0)),
+            region=region, witness=0.0, witness_image=float(u_map(sp, 0.0)),
         )
     if sp.alpha > 2.0:
         return InvarianceCheck(
-            invariant=False, region=region,
-            witness=1.0, witness_image=float(u_map(sp, 1.0)),
+            region=region, witness=1.0, witness_image=float(u_map(sp, 1.0)),
         )
     # remaining failures have beta < 1/2 and an interior parabola vertex
     vertex = (sp.alpha - 1.0) / (2.0 * (1.0 - sp.beta))
     vertex = min(1.0, max(0.0, vertex))
     return InvarianceCheck(
-        invariant=False, region=region,
-        witness=vertex, witness_image=float(u_map(sp, vertex)),
+        region=region, witness=vertex, witness_image=float(u_map(sp, vertex)),
     )
 
 
@@ -301,32 +301,23 @@ class UOrbitKind(Enum):
 
 
 class UOrbit(NamedTuple):
-    """Limit behaviour of the U orbit from one start in [0, 1].
-
-    rate_estimate is the last observed ratio of successive distances to
-    the limit, a plain diagnostic with no extrapolation applied.
-    """
+    """Limit behaviour of the U orbit from one start in [0, 1]."""
 
     kind: UOrbitKind
     limit: Optional[float]
     cycle: Optional[tuple[float, float]]
     iterations_used: int
-    rate_estimate: Optional[float] = None
 
 
-def u_orbit_limit(
-    sp: SimplexParams,
-    x0: float,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> UOrbit:
+def u_orbit_limit(sp: SimplexParams, x0: float) -> UOrbit:
     """Iterate U from x0 inside the invariance region.
 
     Raises OutsideInvariantRegion when (alpha, beta) is not in the region
     (the orbit could escape [0, 1] there).  At the corner (2, 1) the orbit
-    is the 2-cycle {x0, U(x0)} unless x0 is the fixed point.  Everywhere
-    else the orbit converges to x*; iteration stops once |x - x*| <= tol,
-    and UOrbitNotConverged is raised if that takes more than max_iter steps.
+    is the 2-cycle {x0, U(x0)} unless x0 is within U_ORBIT_TOL of x*, which
+    is then the limit.  Everywhere else the orbit converges to x*; iteration
+    stops once |x - x*| <= U_ORBIT_TOL, and UOrbitNotConverged is raised if
+    that takes more than U_ORBIT_MAX_ITER steps.
     """
     if in_invariance_region(sp.alpha, sp.beta) is SimplexClass.NONE:
         raise OutsideInvariantRegion(
@@ -338,45 +329,22 @@ def u_orbit_limit(
 
     xs = fixed_point_u(sp)
     if sp.alpha == 2.0 and sp.beta == 1.0:
-        if abs(x0 - xs) <= tol:
-            return UOrbit(UOrbitKind.FIXED_POINT, x0, None, 0)
+        if abs(x0 - xs) <= U_ORBIT_TOL:
+            return UOrbit(UOrbitKind.FIXED_POINT, xs, None, 0)
         return UOrbit(
             UOrbitKind.TWO_CYCLE, None, (x0, float(u_map(sp, x0))), 2
         )
 
     x = float(x0)
-    prev_gap = abs(x - xs)
-    rate: Optional[float] = None
-    for n in range(1, max_iter + 1):
+    for n in range(1, U_ORBIT_MAX_ITER + 1):
         x = float(u_map(sp, x))
         gap = abs(x - xs)
-        if prev_gap > 0.0:
-            rate = gap / prev_gap
-        prev_gap = gap
-        if gap <= tol:
-            return UOrbit(UOrbitKind.FIXED_POINT, xs, None, n, rate)
+        if gap <= U_ORBIT_TOL:
+            return UOrbit(UOrbitKind.FIXED_POINT, xs, None, n)
     raise UOrbitNotConverged(
-        f"orbit still {prev_gap:.3e} from the fixed point after "
-        f"{max_iter} iterations; loosen tol or raise max_iter"
+        f"orbit still {gap:.3e} from the fixed point after "
+        f"{U_ORBIT_MAX_ITER} iterations"
     )
-
-
-class ShapeKind(Enum):
-    """Monotonicity of U on [0, 1], one value per shape class."""
-
-    INCREASING = "increasing"        # class C
-    DECREASING = "decreasing"        # class D
-    VALLEY_LEFT = "valley_left"      # class E*, minimum left of center
-    VALLEY_RIGHT = "valley_right"    # class F*
-    NONE = "none"                    # outside the invariance region
-
-
-_SHAPE_BY_CLASS = {
-    SimplexClass.C: ShapeKind.INCREASING,
-    SimplexClass.D: ShapeKind.DECREASING,
-    SimplexClass.E_STAR: ShapeKind.VALLEY_LEFT,
-    SimplexClass.F_STAR: ShapeKind.VALLEY_RIGHT,
-}
 
 
 class SimplexAnalysis(NamedTuple):
@@ -388,7 +356,6 @@ class SimplexAnalysis(NamedTuple):
     stability: UPointType
     x_min: Optional[float]
     shape_class: SimplexClass
-    monotonic_shape: ShapeKind
     period2: Period2Set
     proof_roots: Optional[tuple[float, float]]
 
@@ -426,15 +393,13 @@ def analyze(sp: SimplexParams) -> SimplexAnalysis:
         kind = UPointType.ATTRACTING
     else:
         kind = UPointType.REPELLING
-    cls = shape_class(sp.alpha, sp.beta)
     return SimplexAnalysis(
         invariance=simplex_invariant(sp),
         x_star=xs,
         u_prime_at_star=up,
         stability=kind,
         x_min=x_minimum(sp),
-        shape_class=cls,
-        monotonic_shape=_SHAPE_BY_CLASS.get(cls, ShapeKind.NONE),
+        shape_class=shape_class(sp.alpha, sp.beta),
         period2=period2_set(sp),
         proof_roots=_proof_roots(sp),
     )

@@ -176,12 +176,16 @@ def eigenvalues(m) -> tuple[complex, complex]:
 
 
 def g_value(p: Params, x: float) -> float:
-    """g(x) = mu + d0 + alpha/(1+x)**2, the negated trace shift."""
+    """g(x) = mu + d0 + alpha/(1+x)**2, the negated trace shift for d1 = 0.
+
+    It leaves out the Jacobian's -2*d1*x, so where d1 > 0 the eigenvalues
+    are not (2 - g +- sqrt(f))/2.
+    """
     return p.mu + p.d0 + p.alpha / ((1.0 + x) * (1.0 + x))
 
 
 def f_value(p: Params, x: float) -> float:
-    """f(x), the discriminant of the characteristic polynomial for d1 = 0."""
+    """f(x), the characteristic polynomial's discriminant for d1 = 0; see g_value."""
     a = p.alpha / ((1.0 + x) * (1.0 + x))
     t = p.mu - p.d0 - a
     return t * t + 4.0 * p.beta * a
@@ -209,8 +213,6 @@ class StabilityReport(NamedTuple):
 
     jacobian_entries: tuple[float, float, float, float]
     eigenvalues: tuple[complex, complex]
-    g_value: float
-    f_value: float
     type: FixedPointType
 
 
@@ -253,9 +255,7 @@ def classify_fixed_point(
     """Type the fixed point z of the map at p from its linearization.
 
     Raises ValueError unless tol > 0, and NotAFixedPoint unless z passes
-    check_fixed_point.  The type is modulus_type of the eigenvalues; g and f
-    are reported alongside, and for d1 = 0 the eigenvalues are
-    (2 - g +- sqrt(f))/2.
+    check_fixed_point.  The type is modulus_type of the eigenvalues.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -265,8 +265,6 @@ def classify_fixed_point(
     return StabilityReport(
         jacobian_entries=entries,
         eigenvalues=eigs,
-        g_value=g_value(p, x),
-        f_value=f_value(p, x),
         type=modulus_type(eigs),
     )
 

@@ -23,7 +23,7 @@ from mospop.oracles import (
     sample_invariance_pairs,
     sample_region,
 )
-from mospop.params import basic_offspring_number, birth_threshold, validate
+from mospop.params import SimplexClass, basic_offspring_number, birth_threshold, validate
 from mospop.simplex import SimplexParams, fixed_point_u, simplex_invariant, u_map
 from mospop.stability import FixedPointType, declared_type_table, jacobian
 from samplers import sample_outside_pairs
@@ -161,7 +161,7 @@ def test_criterion_08_simplex_invariance_inside_and_escape_outside():
     escapes = 0
     for alpha, beta in sample_outside_pairs(100, rng):
         chk = simplex_invariant(SimplexParams(alpha, beta))
-        assert not chk.invariant and chk.witness is not None, (alpha, beta)
+        assert chk.region is SimplexClass.NONE and chk.witness is not None, (alpha, beta)
         assert not (0.0 <= chk.witness_image <= 1.0)
         escapes += 1
     ok(8, f"1000 interior pairs stayed in [0,1] on a 100-point grid; "

@@ -115,7 +115,7 @@ class TestFindFixedPoints:
         assert pos.formula is FormulaTag.PHI2_CLOSED_FORM
         assert pos.location.x == pytest.approx(math.sqrt(6) - 1.0, abs=1e-12)
         assert pos.location.y == pytest.approx(1.183503419072274, abs=1e-12)
-        assert fps.quad_discriminant == pytest.approx(6.0, abs=1e-12)
+        assert discriminant(PHI2) == pytest.approx(6.0, abs=1e-12)
 
     def test_quadratic_death_beyond_squared_range(self):
         # b*b = (d0 + d1)**2 overflows; the positive root is still ~1/d1
@@ -179,7 +179,7 @@ class TestFindFixedPoints:
         p = validate(1.0, 0.2, 0.5, 0.1, 0.5)
         fps = find_fixed_points(p)
         assert fps.kind is FixedPointKind.SINGLE_ORIGIN
-        assert fps.quad_discriminant == pytest.approx(-1.04, abs=1e-12)
+        assert discriminant(p) == pytest.approx(-1.04, abs=1e-12)
 
     def test_growth_without_any_larval_death_gives_origin_only(self):
         # r0 > 1 but d0 = d1 = 0: the quadratic degenerates, no positive root

@@ -86,6 +86,12 @@ class TestLazyNames:
             assert name in module.__all__
             assert getattr(mospop, name) is getattr(module, name)
 
+    @pytest.mark.parametrize("module", sorted(IMPORTS))
+    def test_every_module_all_names_an_attribute_it_has(self, module):
+        # a stale name would break `from mospop.<module> import *`
+        mod = importlib.import_module(f"mospop.{module}")
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
     def test_star_import_binds_every_public_name(self):
         namespace = {}
         exec("from mospop import *", namespace)

@@ -19,7 +19,6 @@ from mospop.params import SimplexClass, validate
 from mospop.simplex import (
     OutsideInvariantRegion,
     Period2Kind,
-    ShapeKind,
     SimplexParams,
     UOrbitKind,
     UOrbitNotConverged,
@@ -128,16 +127,15 @@ class TestParamsAndMap:
 class TestInvariance:
     def test_corner_is_invariant_region_b(self):
         chk = simplex_invariant(CORNER)
-        assert chk.invariant and chk.region is SimplexClass.B
+        assert chk.region is SimplexClass.B
         assert chk.witness is None
 
     def test_small_rates_region_a(self):
         chk = simplex_invariant(SimplexParams(0.5, 0.25))
-        assert chk.invariant and chk.region is SimplexClass.A
+        assert chk.region is SimplexClass.A
 
     def test_outside_pair_has_a_concrete_witness(self):
         chk = simplex_invariant(SimplexParams(1.9, 0.1))
-        assert not chk.invariant
         assert chk.region is SimplexClass.NONE
         assert 0.0 <= chk.witness <= 1.0
         assert not 0.0 <= chk.witness_image <= 1.0
@@ -155,7 +153,7 @@ class TestInvariance:
         rng = np.random.default_rng(71)
         for alpha, beta in sample_outside_pairs(100, rng):
             chk = simplex_invariant(SimplexParams(alpha, beta))
-            assert not chk.invariant and chk.witness is not None
+            assert chk.region is SimplexClass.NONE and chk.witness is not None
 
 
 class TestFixedPointAndStability:
@@ -309,10 +307,8 @@ class TestShape:
             a = analyze(sp)
             assert a.shape_class.value == tag
             if tag == "C":
-                assert a.monotonic_shape is ShapeKind.INCREASING
                 assert u_derivative(sp, 0.01) > 0 and u_derivative(sp, 0.99) > 0
             elif tag == "D":
-                assert a.monotonic_shape is ShapeKind.DECREASING
                 assert u_derivative(sp, 0.01) < 0 and u_derivative(sp, 0.99) < 0
             else:
                 xm = a.x_min
@@ -322,10 +318,8 @@ class TestShape:
                 assert abs(u_derivative(sp, xm)) <= 1e-10
                 # the class cut alpha = 2*(1-beta) puts the valley at sqrt(2)-1
                 if tag == "E*":
-                    assert a.monotonic_shape is ShapeKind.VALLEY_LEFT
                     assert xm <= math.sqrt(2) - 1 + 1e-12
                 else:
-                    assert a.monotonic_shape is ShapeKind.VALLEY_RIGHT
                     assert xm >= math.sqrt(2) - 1 - 1e-12
 
 
@@ -390,7 +384,6 @@ class TestOrbits:
         assert ob.kind is UOrbitKind.FIXED_POINT
         assert ob.limit == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-10)
         assert ob.cycle is None
-        assert ob.rate_estimate == pytest.approx(0.3819660112501051, abs=1e-3)
 
     def test_corner_orbit_is_a_two_cycle(self):
         ob = u_orbit_limit(CORNER, 0.3)
@@ -413,8 +406,10 @@ class TestOrbits:
             u_orbit_limit(CORNER, 1.5)
 
     def test_budget_exhaustion_raises_instead_of_guessing(self):
-        with pytest.raises(UOrbitNotConverged, match="after 3 iterations"):
-            u_orbit_limit(SimplexParams(1.0, 1.0), 0.0, tol=1e-12, max_iter=3)
+        # |U'(x*)| is within 1e-8 of 1: U_ORBIT_MAX_ITER steps barely move the gap
+        with pytest.raises(UOrbitNotConverged,
+                           match=r"3\.140e-01 from the fixed point after 100000 iterations$"):
+            u_orbit_limit(SimplexParams(1.99999999, 1.0), 0.1)
 
     def test_budget_exhaustion_error_is_exported(self):
         import mospop
@@ -429,6 +424,14 @@ class TestOrbits:
         assert ob.kind is UOrbitKind.FIXED_POINT
         assert ob.iterations_used <= 2
 
+    # both have x* = 0.4142135623730951; the start is 5e-13 above it
+    @pytest.mark.parametrize("sp", [CORNER, SimplexParams(1.0, 0.5)])
+    def test_a_start_within_tol_of_the_fixed_point_reports_it(self, sp):
+        x0 = 0.4142135623735951
+        ob = u_orbit_limit(sp, x0)
+        assert ob.kind is UOrbitKind.FIXED_POINT
+        assert ob.limit == fixed_point_u(sp) != x0
+
 
 class TestAnalyze:
     def test_corner_report(self):
@@ -438,7 +441,6 @@ class TestAnalyze:
         assert a.u_prime_at_star == -(1.0 - 2.0**-52)  # see analyze
         assert a.stability is UPointType.BOUNDARY
         assert a.shape_class is SimplexClass.D
-        assert a.monotonic_shape is ShapeKind.DECREASING
         assert a.period2.kind is Period2Kind.WHOLE_INTERVAL
         assert a.period2.roots == (0.0, 1.0)
         assert a.x_min is None
@@ -447,7 +449,6 @@ class TestAnalyze:
     def test_valley_report(self):
         a = analyze(SimplexParams(0.3, 0.8))
         assert a.shape_class is SimplexClass.E_STAR
-        assert a.monotonic_shape is ShapeKind.VALLEY_LEFT
         assert a.x_min == pytest.approx(math.sqrt(1.5) - 1.0, abs=1e-12)
         assert a.period2.kind is Period2Kind.EMPTY
         assert a.stability is UPointType.ATTRACTING

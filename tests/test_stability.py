@@ -380,10 +380,9 @@ class TestClassify:
         with pytest.raises(NotAFixedPoint):
             classify_fixed_point(EX3, (2.0, 2.0))
 
-    def test_report_carries_g_and_f(self):
-        rep = classify_fixed_point(EX1, (0.0, 0.0))
-        assert rep.g_value == pytest.approx(2.0, abs=1e-15)
-        assert rep.f_value == pytest.approx(3.4, abs=1e-15)
+    def test_g_and_f_at_the_origin(self):
+        assert g_value(EX1, 0.0) == pytest.approx(2.0, abs=1e-15)
+        assert f_value(EX1, 0.0) == pytest.approx(3.4, abs=1e-15)
 
     def test_tol_loosens_the_residual_gate(self):
         near = (1.5001, 9.0)
