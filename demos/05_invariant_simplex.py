@@ -12,25 +12,31 @@ from mospop import (
     analyze,
     fixed_point_u,
     grid_period_scan,
+    period2_set,
+    shape_class,
+    simplex_invariant,
     u_map,
     u_orbit_limit,
+    x_minimum,
 )
 
 
 def report(sp):
-    a = analyze(sp)
+    inv = simplex_invariant(sp)
     print(f"\nalpha={sp.alpha}, beta={sp.beta}")
-    print(f"  invariant: {a.invariance.region is not SimplexClass.NONE} "
-          f"(region {a.invariance.region.value})")
-    if a.invariance.witness is not None:
-        print(f"  escape witness: U({a.invariance.witness:.6g}) = "
-              f"{a.invariance.witness_image:.6g}")
+    print(f"  invariant: {inv.region is not SimplexClass.NONE} "
+          f"(region {inv.region.value})")
+    if inv.witness is not None:
+        print(f"  escape witness: U({inv.witness:.6g}) = "
+              f"{u_map(sp, inv.witness):.6g}")
         return
+    a = analyze(sp)
     print(f"  fixed point x* = {a.x_star:.12g}, U'(x*) = {a.u_prime_at_star:.12g} "
           f"({a.stability.value})")
-    print(f"  shape: {a.shape_class.value}"
-          + (f", minimum at {a.x_min:.6g}" if a.x_min is not None else ""))
-    print(f"  period-2 set: {a.period2.kind.value}")
+    xm = x_minimum(sp)
+    print(f"  shape: {shape_class(*sp).value}"
+          + (f", minimum at {xm:.6g}" if xm is not None else ""))
+    print(f"  period-2 set: {period2_set(sp).kind.value}")
 
 
 report(SimplexParams(1.0, 1.0))

@@ -229,8 +229,8 @@ def _stability_payload(p: params.Params, z, tol: float, want_verify: bool) -> di
 
     report = stability.classify_fixed_point(p, z, tol=tol)
     lam1, lam2 = report.eigenvalues
-    j00, j01, j10, j11 = report.jacobian_entries
     x, y = float(z[0]), float(z[1])
+    j00, j01, j10, j11 = stability.jacobian_entries(p.alpha, p.beta, p.mu, p.d0, p.d1, x)
     payload = {
         "location": {"x": x, "y": y},
         "jacobian": [[j00, j01], [j10, j11]],
@@ -441,10 +441,11 @@ def cmd_simplex(args) -> int:
         _usage_error("--orbit needs --x0")
     sp = simplex.SimplexParams(args.alpha, args.beta)
     report = simplex.analyze(sp)
-    inv = report.invariance
+    inv = simplex.simplex_invariant(sp)
     invariant = inv.region is not params.SimplexClass.NONE
-    shape = _SHAPE_BY_CLASS.get(report.shape_class.value, "none")
-    roots = report.period2.roots
+    shape_class = params.shape_class(sp.alpha, sp.beta).value
+    shape = _SHAPE_BY_CLASS.get(shape_class, "none")
+    period2 = simplex.period2_set(sp)
     payload: dict = {
         "alpha": sp.alpha,
         "beta": sp.beta,
@@ -453,34 +454,34 @@ def cmd_simplex(args) -> int:
         "x_star": report.x_star,
         "u_prime_at_star": report.u_prime_at_star,
         "stability": report.stability.value,
-        "shape_class": report.shape_class.value,
+        "shape_class": shape_class,
         "monotonic_shape": shape,
         "period2": {
-            "kind": report.period2.kind.value,
-            "roots": roots,
-            "containment_holds": report.period2.containment_holds,
+            "kind": period2.kind.value,
+            "roots": period2.roots,
+            "containment_holds": simplex.containment_holds(sp),
         },
     }
     human = [
         f"invariant: {invariant} (region {inv.region.value})",
         f"x*: {fmt(report.x_star)}  U'(x*): {fmt(report.u_prime_at_star)}"
         f"  [{report.stability.value}]",
-        f"shape class: {report.shape_class.value} ({shape})",
-        f"period-2 set: {report.period2.kind.value}"
-        + ("  roots: " + ", ".join(fmt(r) for r in roots) if roots else ""),
+        f"shape class: {shape_class} ({shape})",
+        f"period-2 set: {period2.kind.value}"
+        + ("  roots: " + ", ".join(fmt(r) for r in period2.roots) if period2.roots else ""),
     ]
     if inv.witness is not None:
-        payload["witness"] = {"x": inv.witness, "u_of_x": inv.witness_image}
-        human.append(
-            f"witness: U({fmt(inv.witness)}) = {fmt(inv.witness_image)}"
-        )
-    if report.x_min is not None:
-        payload["x_min"] = report.x_min
-        human.append(f"interior minimum of U at x = {fmt(report.x_min)}")
-    if report.proof_roots is not None:
-        payload["invariance_quadratic_roots"] = report.proof_roots
-        human.append("invariance quadratic roots: "
-                     + ", ".join(fmt(r) for r in report.proof_roots))
+        image = simplex.u_map(sp, inv.witness)
+        payload["witness"] = {"x": inv.witness, "u_of_x": image}
+        human.append(f"witness: U({fmt(inv.witness)}) = {fmt(image)}")
+    x_min = simplex.x_minimum(sp)
+    if x_min is not None:
+        payload["x_min"] = x_min
+        human.append(f"interior minimum of U at x = {fmt(x_min)}")
+    roots = simplex.proof_roots(sp)
+    if roots is not None:
+        payload["invariance_quadratic_roots"] = roots
+        human.append("invariance quadratic roots: " + ", ".join(fmt(r) for r in roots))
 
     if args.x0 is not None:
         limit = simplex.u_orbit_limit(sp, args.x0)

@@ -267,14 +267,15 @@ def fixed_point_locations(
     find_fixed_points, declared_type_table and cli.cmd_stability iterate it.
     The extinct state comes first; on the continuum the points are the
     curve samples in sample_grid order, and the default grid starts at
-    x = 0.  No residual is formed.  Raises ValueError on a negative
-    continuum sample.
+    x = 0.  No residual is formed.  Raises ValueError on a continuum
+    sample that is not finite and nonnegative.
     """
     region = primary_region(p)
     if region == "psi":
         for x in sample_grid:
-            if x < 0:
-                raise ValueError("continuum sample grid must be nonnegative")
+            if not 0 <= x < math.inf:
+                raise ValueError("continuum sample grid must be finite and "
+                                 f"nonnegative, got {x!r}")
         return FixedPointKind.CONTINUUM, tuple(
             (float(x), float(gamma(p, float(x))), FormulaTag.CONTINUUM_SAMPLE)
             for x in sample_grid

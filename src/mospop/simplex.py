@@ -43,7 +43,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .fixed_points import quad_roots
-from .params import SimplexClass, in_invariance_region, shape_class
+from .params import SimplexClass, in_invariance_region
 
 __all__ = [
     "InvarianceCheck",
@@ -57,10 +57,12 @@ __all__ = [
     "UOrbitNotConverged",
     "UPointType",
     "analyze",
+    "containment_holds",
     "fixed_point_u",
     "fixed_point_u_array",
     "fixed_point_u_of",
     "period2_set",
+    "proof_roots",
     "simplex_invariant",
     "u_derivative",
     "u_map",
@@ -121,16 +123,15 @@ class InvarianceCheck(NamedTuple):
     """Does U map [0, 1] into itself, and if not, where does it leave?
 
     region is SimplexClass.A or .B on success, .NONE on failure.  On
-    failure witness is a point of [0, 1] and witness_image = U(witness) as
-    computed.  The image lies outside [0, 1] except where alpha sits a few
-    ulps above region A's rounded bound 1 + 2*sqrt(beta*(1 - beta)): there
-    the rounded region test and the rounded image can disagree, and the
-    image may lie inside [0, 1].
+    failure witness is a point of [0, 1] whose image u_map(sp, witness)
+    lies outside [0, 1], except where alpha sits a few ulps above region
+    A's rounded bound 1 + 2*sqrt(beta*(1 - beta)): there the rounded region
+    test and the rounded image can disagree, and the image may lie inside
+    [0, 1].
     """
 
     region: SimplexClass
     witness: Optional[float] = None
-    witness_image: Optional[float] = None
 
 
 def simplex_invariant(sp: SimplexParams) -> InvarianceCheck:
@@ -145,19 +146,13 @@ def simplex_invariant(sp: SimplexParams) -> InvarianceCheck:
         return InvarianceCheck(region=region)
 
     if sp.beta > 1.0:
-        return InvarianceCheck(
-            region=region, witness=0.0, witness_image=float(u_map(sp, 0.0)),
-        )
+        return InvarianceCheck(region=region, witness=0.0)
     if sp.alpha > 2.0:
-        return InvarianceCheck(
-            region=region, witness=1.0, witness_image=float(u_map(sp, 1.0)),
-        )
+        return InvarianceCheck(region=region, witness=1.0)
     # remaining failures have beta < 1/2 and an interior parabola vertex
     vertex = (sp.alpha - 1.0) / (2.0 * (1.0 - sp.beta))
     vertex = min(1.0, max(0.0, vertex))
-    return InvarianceCheck(
-        region=region, witness=vertex, witness_image=float(u_map(sp, vertex)),
-    )
+    return InvarianceCheck(region=region, witness=vertex)
 
 
 def fixed_point_u(sp: SimplexParams) -> float:
@@ -238,17 +233,16 @@ class Period2Set(NamedTuple):
 
     kind WHOLE_INTERVAL means every point of [0, 1] except x* pairs into a
     2-cycle (only at (alpha, beta) = (2, 1)); roots then holds the interval
-    endpoints (0, 1) rather than isolated solutions.  containment_holds
-    reports the closed-form root-containment condition
-    (1 + beta)*(2 - beta) <= alpha <= 4*(2 - beta)/(3 - beta), beta != 3.
+    endpoints (0, 1) rather than isolated solutions.
     """
 
     kind: Period2Kind
     roots: tuple[float, ...]
-    containment_holds: bool
 
 
-def _containment_holds(sp: SimplexParams) -> bool:
+def containment_holds(sp: SimplexParams) -> bool:
+    """The closed-form 2-cycle root-containment condition
+    (1 + beta)*(2 - beta) <= alpha <= 4*(2 - beta)/(3 - beta), beta != 3."""
     b = sp.beta
     # at beta = 3 the bound is undefined, and the 2-cycle quadratic
     # 2x**2 + (alpha - 2)x - (alpha + 4) is negative on all of [0, 1]
@@ -263,13 +257,8 @@ def period2_set(sp: SimplexParams) -> Period2Set:
     [0, 1], checked for U(U(x)) = x within PERIOD2_TOL, and stripped of
     period-1 impostors.
     """
-    contain = _containment_holds(sp)
     if sp.alpha == 2.0 and sp.beta == 1.0:
-        return Period2Set(
-            kind=Period2Kind.WHOLE_INTERVAL,
-            roots=(0.0, 1.0),
-            containment_holds=contain,
-        )
+        return Period2Set(kind=Period2Kind.WHOLE_INTERVAL, roots=(0.0, 1.0))
 
     a, b = sp.alpha, sp.beta
     candidates = quad_roots((b - 1.0) * (b - 2.0), (a - 2.0) * (b - 2.0),
@@ -289,10 +278,8 @@ def period2_set(sp: SimplexParams) -> Period2Set:
         kept.append(x)
     kept.sort()
     if kept:
-        return Period2Set(
-            kind=Period2Kind.ROOTS, roots=tuple(kept), containment_holds=contain
-        )
-    return Period2Set(kind=Period2Kind.EMPTY, roots=(), containment_holds=contain)
+        return Period2Set(kind=Period2Kind.ROOTS, roots=tuple(kept))
+    return Period2Set(kind=Period2Kind.EMPTY, roots=())
 
 
 class UOrbitKind(Enum):
@@ -348,19 +335,14 @@ def u_orbit_limit(sp: SimplexParams, x0: float) -> UOrbit:
 
 
 class SimplexAnalysis(NamedTuple):
-    """Everything the simplex case knows about one (alpha, beta)."""
+    """The fixed point x* of U, its multiplier U'(x*) and its type."""
 
-    invariance: InvarianceCheck
     x_star: float
     u_prime_at_star: float
     stability: UPointType
-    x_min: Optional[float]
-    shape_class: SimplexClass
-    period2: Period2Set
-    proof_roots: Optional[tuple[float, float]]
 
 
-def _proof_roots(sp: SimplexParams) -> Optional[tuple[float, float]]:
+def proof_roots(sp: SimplexParams) -> Optional[tuple[float, float]]:
     """Real roots of the invariance quadratic q, when it is a quadratic.
 
     q(x) = (1 - beta)*x**2 + (1 - alpha)*x + beta touches or crosses zero
@@ -377,13 +359,15 @@ def _proof_roots(sp: SimplexParams) -> Optional[tuple[float, float]]:
 
 
 def analyze(sp: SimplexParams) -> SimplexAnalysis:
-    """One-stop report used by the command line and the demos.
+    """x* and its type, from the multiplier U'(x*).
 
     The multiplier is u_derivative(sp, x*) at the computed x*, one formula
     with no special case; |U'(x*)| within BOUNDARY_BAND of 1 is typed
     BOUNDARY.  At the corner (2, 1), where the exact multiplier is -1, it
     comes out as -(1 - 2**-52) and is typed BOUNDARY; where alpha = 2*beta
-    it is within 2**-52 of the exact 1 - 2*beta.
+    it is within 2**-52 of the exact 1 - 2*beta.  The other facts about
+    (alpha, beta) have their own functions: simplex_invariant, x_minimum,
+    params.shape_class, period2_set, containment_holds and proof_roots.
     """
     xs = fixed_point_u(sp)
     up = u_derivative(sp, xs)
@@ -393,13 +377,4 @@ def analyze(sp: SimplexParams) -> SimplexAnalysis:
         kind = UPointType.ATTRACTING
     else:
         kind = UPointType.REPELLING
-    return SimplexAnalysis(
-        invariance=simplex_invariant(sp),
-        x_star=xs,
-        u_prime_at_star=up,
-        stability=kind,
-        x_min=x_minimum(sp),
-        shape_class=shape_class(sp.alpha, sp.beta),
-        period2=period2_set(sp),
-        proof_roots=_proof_roots(sp),
-    )
+    return SimplexAnalysis(x_star=xs, u_prime_at_star=up, stability=kind)

@@ -204,14 +204,8 @@ def modulus_type(eigs: tuple[complex, complex]) -> FixedPointType:
 
 
 class StabilityReport(NamedTuple):
-    """Linearization data at one fixed point.
+    """Eigenvalues and type of one fixed point."""
 
-    jacobian_entries holds the Jacobian row by row as four Python floats
-    (j00, j01, j10, j11); typing a fixed point needs no numpy.  jacobian(p, z)
-    builds the same entries as a 2x2 array.
-    """
-
-    jacobian_entries: tuple[float, float, float, float]
     eigenvalues: tuple[complex, complex]
     type: FixedPointType
 
@@ -262,11 +256,7 @@ def classify_fixed_point(
     x, _ = check_fixed_point(p, z, tol)
     entries = jacobian_entries(p.alpha, p.beta, p.mu, p.d0, p.d1, x)
     eigs = _matrix_roots(*entries)
-    return StabilityReport(
-        jacobian_entries=entries,
-        eigenvalues=eigs,
-        type=modulus_type(eigs),
-    )
+    return StabilityReport(eigenvalues=eigs, type=modulus_type(eigs))
 
 
 class DeclaredType(NamedTuple):

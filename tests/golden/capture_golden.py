@@ -373,6 +373,11 @@ def appended() -> list[tuple[str, list[str]]]:
          ["sweep", "--axis1", "beta:0.5:1.5:0.5", "--axis2", "d0:0:0.25:0.25",
           "--quantity", "region", "--alpha", "1", "--mu", "1",
           "--output", "{tmp}/regions.csv", "--json"]),
+        # the orbit stays at the origin: the value span is empty, so the y
+        # ticks run from 0 to 1
+        ("simulate svg of a constant orbit",
+         ["simulate", "--alpha", "1", "--beta", "1", "--mu", "1", "--x0", "0",
+          "--y0", "0", "--svg", "{tmp}/o.svg"]),
     ]
 
 

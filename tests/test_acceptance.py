@@ -160,9 +160,10 @@ def test_criterion_08_simplex_invariance_inside_and_escape_outside():
         assert max(vals) <= 1.0 + 1e-12, (alpha, beta)
     escapes = 0
     for alpha, beta in sample_outside_pairs(100, rng):
-        chk = simplex_invariant(SimplexParams(alpha, beta))
+        sp = SimplexParams(alpha, beta)
+        chk = simplex_invariant(sp)
         assert chk.region is SimplexClass.NONE and chk.witness is not None, (alpha, beta)
-        assert not (0.0 <= chk.witness_image <= 1.0)
+        assert not (0.0 <= u_map(sp, chk.witness) <= 1.0)
         escapes += 1
     ok(8, f"1000 interior pairs stayed in [0,1] on a 100-point grid; "
           f"{escapes} exterior pairs produced escape witnesses")

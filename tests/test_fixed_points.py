@@ -84,8 +84,9 @@ class TestFixedPointLocations:
             tuple(pt.location) for pt in find_fixed_points(p).points]
 
     def test_continuum_grid_must_stay_in_domain(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            fixed_point_locations(PSI, sample_grid=(0.0, -0.5))
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                fixed_point_locations(PSI, sample_grid=(0.0, bad))
 
 
 class TestFindFixedPoints:
@@ -172,8 +173,9 @@ class TestFindFixedPoints:
         assert [pt.location.x for pt in fps.points] == [0.0, 0.25, 4.0]
 
     def test_continuum_grid_must_stay_in_domain(self):
-        with pytest.raises(ValueError):
-            find_fixed_points(PSI, sample_grid=(-2.0, 0.0))
+        for bad in (-2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                find_fixed_points(PSI, sample_grid=(bad, 0.0))
 
     def test_negative_discriminant_reported(self):
         p = validate(1.0, 0.2, 0.5, 0.1, 0.5)

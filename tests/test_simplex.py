@@ -15,7 +15,7 @@ from mospop.oracles import (
     grid_period_scan,
     sample_invariance_pairs,
 )
-from mospop.params import SimplexClass, validate
+from mospop.params import SimplexClass, shape_class, validate
 from mospop.simplex import (
     OutsideInvariantRegion,
     Period2Kind,
@@ -24,10 +24,12 @@ from mospop.simplex import (
     UOrbitNotConverged,
     UPointType,
     analyze,
+    containment_holds,
     fixed_point_u,
     fixed_point_u_array,
     fixed_point_u_of,
     period2_set,
+    proof_roots,
     simplex_invariant,
     u_derivative,
     u_map,
@@ -138,8 +140,7 @@ class TestInvariance:
         chk = simplex_invariant(SimplexParams(1.9, 0.1))
         assert chk.region is SimplexClass.NONE
         assert 0.0 <= chk.witness <= 1.0
-        assert not 0.0 <= chk.witness_image <= 1.0
-        assert u_map(SimplexParams(1.9, 0.1), chk.witness) == chk.witness_image
+        assert not 0.0 <= u_map(SimplexParams(1.9, 0.1), chk.witness) <= 1.0
 
     def test_inside_draws_keep_the_interval(self):
         rng = np.random.default_rng(67)
@@ -304,14 +305,13 @@ class TestShape:
     def test_classes_match_derivative_signs(self):
         rng = np.random.default_rng(89)
         for sp, tag in draw_classes(rng, 40):
-            a = analyze(sp)
-            assert a.shape_class.value == tag
+            assert shape_class(sp.alpha, sp.beta).value == tag
             if tag == "C":
                 assert u_derivative(sp, 0.01) > 0 and u_derivative(sp, 0.99) > 0
             elif tag == "D":
                 assert u_derivative(sp, 0.01) < 0 and u_derivative(sp, 0.99) < 0
             else:
-                xm = a.x_min
+                xm = x_minimum(sp)
                 assert xm is not None and 0.0 < xm < 1.0
                 assert u_derivative(sp, xm * 0.5) < 0
                 assert u_derivative(sp, xm + (1 - xm) * 0.5) > 0
@@ -328,20 +328,20 @@ class TestPeriodTwo:
         p2 = period2_set(CORNER)
         assert p2.kind is Period2Kind.WHOLE_INTERVAL
         assert p2.roots == (0.0, 1.0)
-        assert p2.containment_holds
+        assert containment_holds(CORNER)
 
     def test_attracting_interior_has_no_cycles(self):
         p2 = period2_set(SimplexParams(1.0, 0.5))
         assert p2.kind is Period2Kind.EMPTY
         assert p2.roots == ()
-        assert not p2.containment_holds
+        assert not containment_holds(SimplexParams(1.0, 0.5))
 
     def test_point_cycle_outside_the_invariance_region(self):
         p2 = period2_set(SimplexParams(2.3, 0.5))
         assert p2.kind is Period2Kind.ROOTS
         assert len(p2.roots) == 1
         assert p2.roots[0] == pytest.approx(0.6958114029012633, abs=1e-10)
-        assert p2.containment_holds  # 2.25 <= 2.3 <= 2.4
+        assert containment_holds(SimplexParams(2.3, 0.5))  # 2.25 <= 2.3 <= 2.4
 
     def test_matched_unit_rates_degenerate_linearly(self):
         # beta = 1 kills the quadratic term; the surviving root sits at -1
@@ -360,7 +360,8 @@ class TestPeriodTwo:
     def test_beta_three_has_no_cycle_and_no_containment(self, alpha):
         # 2x**2 + (alpha - 2)x - (alpha + 4) is negative at 0 and at 1
         sp = SimplexParams(alpha, 3.0)
-        assert period2_set(sp) == (Period2Kind.EMPTY, (), False)
+        assert period2_set(sp) == (Period2Kind.EMPTY, ())
+        assert not containment_holds(sp)
         assert grid_period_scan(lambda x: u_map(sp, x), (0.0, 1.0), 2, grid=400) == []
 
     def test_scan_agreement_inside_the_region(self):
@@ -436,33 +437,32 @@ class TestOrbits:
 class TestAnalyze:
     def test_corner_report(self):
         a = analyze(CORNER)
-        assert a.invariance.region is SimplexClass.B
+        assert simplex_invariant(CORNER).region is SimplexClass.B
         assert a.x_star == pytest.approx(math.sqrt(2) - 1, abs=1e-15)
         assert a.u_prime_at_star == -(1.0 - 2.0**-52)  # see analyze
         assert a.stability is UPointType.BOUNDARY
-        assert a.shape_class is SimplexClass.D
-        assert a.period2.kind is Period2Kind.WHOLE_INTERVAL
-        assert a.period2.roots == (0.0, 1.0)
-        assert a.x_min is None
-        assert a.proof_roots is None  # beta = 1 has no invariance quadratic
+        assert shape_class(*CORNER) is SimplexClass.D
+        assert period2_set(CORNER).kind is Period2Kind.WHOLE_INTERVAL
+        assert period2_set(CORNER).roots == (0.0, 1.0)
+        assert x_minimum(CORNER) is None
+        assert proof_roots(CORNER) is None  # beta = 1 has no invariance quadratic
 
     def test_valley_report(self):
-        a = analyze(SimplexParams(0.3, 0.8))
-        assert a.shape_class is SimplexClass.E_STAR
-        assert a.x_min == pytest.approx(math.sqrt(1.5) - 1.0, abs=1e-12)
-        assert a.period2.kind is Period2Kind.EMPTY
-        assert a.stability is UPointType.ATTRACTING
+        sp = SimplexParams(0.3, 0.8)
+        assert shape_class(*sp) is SimplexClass.E_STAR
+        assert x_minimum(sp) == pytest.approx(math.sqrt(1.5) - 1.0, abs=1e-12)
+        assert period2_set(sp).kind is Period2Kind.EMPTY
+        assert analyze(sp).stability is UPointType.ATTRACTING
 
     def test_proof_roots_bracket_the_failure_window(self):
-        a = analyze(SimplexParams(2.0, 0.4))
-        lo, hi = a.proof_roots
+        lo, hi = proof_roots(SimplexParams(2.0, 0.4))
         assert lo == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-9)
         mid = 0.5 * (lo + hi)
         assert u_map(SimplexParams(2.0, 0.4), mid) < 0.0
 
     def test_proof_roots_absent_when_invariance_is_strict(self):
-        assert analyze(SimplexParams(0.5, 0.25)).proof_roots is None
+        assert proof_roots(SimplexParams(0.5, 0.25)) is None
 
 
 @given(
